@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 import numpy as np
@@ -305,6 +306,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SingularFitError, ReplicationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool:
+        # only `study --threads N` starts workers
+        print(f"error: a worker process died (--threads {args.threads}); "
+              f"rerun with --threads 1", file=sys.stderr)
         return 2
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

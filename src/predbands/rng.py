@@ -54,6 +54,32 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _uniforms(seeds, drawn: int, n: int) -> np.ndarray:
+    """Draws ``drawn+1 .. drawn+n`` of the streams seeded with ``seeds``, as uniforms.
+
+    ``seeds`` is a uint64 scalar, or a column of them for one row per stream.
+    """
+    counters = np.arange(drawn + 1, drawn + n + 1, dtype=np.uint64)
+    words = _mix64_vec(seeds + counters * np.uint64(_GOLDEN))
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _integers(uniforms: np.ndarray, bound: int) -> np.ndarray:
+    return np.floor(uniforms * bound).astype(np.int64)
+
+
+def stream_integers(master_seed: int, streams: range, bound: int, size: int) -> np.ndarray:
+    """(len(streams), size) bounded integers, one row per derived stream.
+
+    Row i equals ``Rng(derive_seed(master_seed, streams[i])).integers(bound, size)``
+    bit for bit, so a forest can draw many bootstrap samples at once.
+    """
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    seeds = np.array([derive_seed(master_seed, t) for t in streams], dtype=np.uint64)
+    return _integers(_uniforms(seeds[:, None], 0, size), bound)
+
+
 class Rng:
     """Sequential view of one SplitMix64 counter stream.
 
@@ -65,14 +91,11 @@ class Rng:
         self._seed = np.uint64(seed & _MASK)
         self._drawn = 0
 
-    def _words(self, n: int) -> np.ndarray:
-        counters = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
-        self._drawn += n
-        return _mix64_vec(self._seed + counters * np.uint64(_GOLDEN))
-
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles, i.i.d. uniform on [0, 1)."""
-        return (self._words(n) >> np.uint64(11)) * 2.0 ** -53
+        uniforms = _uniforms(self._seed, self._drawn, n)
+        self._drawn += n
+        return uniforms
 
     def uniform(self, low: float, high: float, n: int) -> np.ndarray:
         """n doubles, i.i.d. uniform on [low, high)."""
@@ -101,7 +124,7 @@ class Rng:
         """size integers, i.i.d. uniform on {0, ..., bound-1}."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return np.floor(self.uniforms(size) * bound).astype(np.int64)
+        return _integers(self.uniforms(size), bound)
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniform random permutation of range(n) (Fisher-Yates)."""

@@ -1,11 +1,20 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from predbands import montecarlo
 from predbands.cli import main
 from predbands.dataset import Dataset, GenConfig, generate_dataset
 from predbands.linear import LinearRegression
+
+
+def _die_in_worker(config, r):
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("expected to run in a worker process")
+    os._exit(1)
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +235,16 @@ class TestStudy:
                                "--output", str(tmp_path / "x"))
         assert code == 2
         assert "replication 0" in err
+
+    def test_dead_worker_exit_code(self, capfd, monkeypatch, tmp_path):
+        monkeypatch.setattr(montecarlo, "_replicate", _die_in_worker)
+        code = main(["study", "--replications", "4", "--threads", "2",
+                     "--output", str(tmp_path / "d")])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1, err
+        assert "--threads 2" in err and "--threads 1" in err
+        assert "Traceback" not in err
 
 
 class TestReport:
