@@ -30,6 +30,15 @@ FOREST_SMALL = {
 }
 FOREST_FLAGS = ["--model", "forest", "--replications", "20", "--trees", "10"]
 
+# Linear study with a 20% holdout per replication (R=50, grid of 11 points):
+# the coefficients carry the test_mse column.
+HOLDOUT = {
+    "_bands.csv": "7b004329c9070fa71497576ce78133122d18398256b15b556ba70a40409c11c2",
+    "_coefficients.csv": "2fdbf1a772d801d696e1f5a399ab93fdd0a427722d4a8fa2925d0228f34fe313",
+    "_matrix.csv": "7afc33187e173fe403ac0c24c9fadadee997b6f19b9c4663d708b1bdca593cb0",
+}
+HOLDOUT_FLAGS = ["--test-fraction", "0.2", "--replications", "50", "--grid-points", "11"]
+
 
 def study_hashes(tmp_path, name, flags):
     prefix = str(tmp_path / name)
@@ -41,6 +50,16 @@ def study_hashes(tmp_path, name, flags):
 
 def test_linear_default_study(tmp_path):
     assert study_hashes(tmp_path, "linear", []) == LINEAR_DEFAULT
+
+
+def test_linear_default_study_on_two_workers(tmp_path):
+    assert study_hashes(tmp_path, "linear", ["--threads", "2"]) == LINEAR_DEFAULT
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_holdout_study(tmp_path, threads):
+    got = study_hashes(tmp_path, "holdout", HOLDOUT_FLAGS + ["--threads", threads])
+    assert got == HOLDOUT
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
