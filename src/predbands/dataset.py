@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import check_xy
-from .rng import Rng
+from .rng import Streams
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -145,13 +145,40 @@ def make_grid(low: float, high: float, count: int) -> Grid:
     return Grid(np.linspace(low, high, count))
 
 
+def generate_rows(config: GenConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n_samples) x and y draws; row i is the dataset of seed ``seeds[i]``."""
+    streams = Streams(seeds)
+    xs = streams.uniform(config.x_low, config.x_high, config.n_samples)
+    noise = streams.normals(config.n_samples) * config.noise_sigma
+    ys = config.intercept + config.slope * xs + noise
+    return xs, ys
+
+
 def generate_dataset(config: GenConfig) -> Dataset:
     """Draw one dataset from the configured process, deterministically."""
-    rng = Rng(config.seed)
-    xs = rng.uniform(config.x_low, config.x_high, config.n_samples)
-    noise = rng.normals(config.n_samples) * config.noise_sigma
-    ys = config.intercept + config.slope * xs + noise
-    return Dataset(xs, ys)
+    xs, ys = generate_rows(config, [config.seed])
+    return Dataset(xs[0], ys[0])
+
+
+def split_rows(xs: np.ndarray, ys: np.ndarray, test_fraction: float, seeds):
+    """Train/test partition of each row of (rows, n) arrays, shuffled by ``seeds[i]``.
+
+    Returns ``(train_xs, train_ys), (test_xs, test_ys)``; the first
+    ``round(n * test_fraction)`` shuffled columns are the test part.
+    Fractions that leave either part empty are rejected.
+    """
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    n = xs.shape[1]
+    if n < 2:
+        raise ValueError("need at least 2 rows to split")
+    n_test = int(round(n * test_fraction))
+    if n_test < 1 or n_test > n - 1:
+        raise ValueError(
+            f"test_fraction {test_fraction} leaves an empty part for n={n}")
+    perm = Streams(seeds).permutations(n)
+    xs, ys = np.take_along_axis(xs, perm, 1), np.take_along_axis(ys, perm, 1)
+    return (xs[:, n_test:], ys[:, n_test:]), (xs[:, :n_test], ys[:, :n_test])
 
 
 def split_train_test(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -160,17 +187,5 @@ def split_train_test(data: Dataset, test_fraction: float, seed: int) -> tuple[Da
     The test size is ``round(n * test_fraction)``; fractions that leave
     either part empty are rejected.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n = len(data)
-    if n < 2:
-        raise ValueError("need at least 2 rows to split")
-    n_test = int(round(n * test_fraction))
-    if n_test < 1 or n_test > n - 1:
-        raise ValueError(
-            f"test_fraction {test_fraction} leaves an empty part for n={n}")
-    perm = Rng(seed).permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    train = Dataset(data.xs[train_idx], data.ys[train_idx])
-    test = Dataset(data.xs[test_idx], data.ys[test_idx])
-    return train, test
+    train, test = split_rows(data.xs[None], data.ys[None], test_fraction, [seed])
+    return Dataset(train[0][0], train[1][0]), Dataset(test[0][0], test[1][0])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ._gauss import normal_quantile
@@ -9,7 +11,56 @@ from .base import ParamsMixin, as_float_vector, check_xy
 
 
 class SingularFitError(ValueError):
-    """Raised when the design is degenerate (all x values identical)."""
+    """Raised when the design is degenerate (all x values identical).
+
+    ``row`` is the first degenerate row of a batched fit.
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+class LineFits(NamedTuple):
+    """Least squares lines of a batch, one entry per row."""
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    residual_se: np.ndarray
+    x_mean: np.ndarray
+    sxx: np.ndarray
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """(rows, len(x)) predictions; x is shared by all rows, or one row of x per line."""
+        return self.intercept[:, None] + self.slope[:, None] * x
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked (1, n) @ (n, 1) products call the same BLAS dot as np.dot(a[i], b[i])
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def fit_lines(xs: np.ndarray, ys: np.ndarray) -> LineFits:
+    """Ordinary least squares fit of every row of (rows, n) arrays xs and ys."""
+    n = xs.shape[1]
+    if n < 2:
+        raise ValueError(f"need at least 2 observations to fit a line, got {n}")
+    flat = np.ptp(xs, axis=1) == 0.0
+    if flat.any():
+        raise SingularFitError("all x values are identical; slope is undetermined",
+                               row=int(np.argmax(flat)))
+    x_mean = np.mean(xs, axis=1)
+    y_mean = np.mean(ys, axis=1)
+    dx = xs - x_mean[:, None]
+    sxx = _row_dots(dx, dx)
+    if (sxx == 0.0).any():
+        raise SingularFitError("x has zero variance; slope is undetermined",
+                               row=int(np.argmax(sxx == 0.0)))
+    slope = _row_dots(dx, ys - y_mean[:, None]) / sxx
+    intercept = y_mean - slope * x_mean
+    residuals = ys - intercept[:, None] - slope[:, None] * xs
+    s = np.sqrt(_row_dots(residuals, residuals) / (n - 2)) if n > 2 else np.zeros(len(xs))
+    return LineFits(slope, intercept, s, x_mean, sxx)
 
 
 class LinearRegression(ParamsMixin):
@@ -41,29 +92,15 @@ class LinearRegression(ParamsMixin):
 
     def fit(self, x, y) -> "LinearRegression":
         xs, ys = check_xy(x, y)
-        n = len(xs)
-        if n < 2:
-            raise ValueError(f"need at least 2 observations to fit a line, got {n}")
-        if np.ptp(xs) == 0.0:
-            raise SingularFitError("all x values are identical; slope is undetermined")
-        x_mean = float(np.mean(xs))
-        y_mean = float(np.mean(ys))
-        dx = xs - x_mean
-        sxx = float(np.dot(dx, dx))
-        if sxx == 0.0:
-            raise SingularFitError("x has zero variance; slope is undetermined")
-        slope = float(np.dot(dx, ys - y_mean) / sxx)
-        intercept = y_mean - slope * x_mean
-        residuals = ys - intercept - slope * xs
-        s = float(np.sqrt(np.dot(residuals, residuals) / (n - 2))) if n > 2 else 0.0
-
-        self.intercept_ = intercept
-        self.slope_ = slope
+        line = LineFits(*(float(v[0]) for v in fit_lines(xs[None], ys[None])))
+        s, sxx = line.residual_se, line.sxx
+        self.intercept_ = line.intercept
+        self.slope_ = line.slope
         self.residual_se_ = s
         self.slope_se_ = s / np.sqrt(sxx)
-        self.intercept_se_ = s * np.sqrt(1.0 / n + x_mean ** 2 / sxx)
-        self.n_ = n
-        self.x_mean_ = x_mean
+        self.intercept_se_ = s * np.sqrt(1.0 / len(xs) + line.x_mean ** 2 / sxx)
+        self.n_ = len(xs)
+        self.x_mean_ = line.x_mean
         self.sxx_ = sxx
         return self
 

@@ -9,25 +9,29 @@ prediction matrix.  All randomness is scheduled from the master seed
 * model seed = derive_seed(master, R + r)
 * split seed = derive_seed(master, 2 * R + r)   (only with a test split)
 
-Replications are embarrassingly parallel; ``n_jobs > 1`` fans them out
-to worker processes and merges rows by index, which keeps the output
+Replications run in blocks of consecutive indices.  A block draws,
+splits, fits and predicts all its linear replications with array
+operations (a forest is still fitted once per replication), and every
+row is bit-identical to the same replication run alone.  Blocks are
+embarrassingly parallel; ``n_jobs > 1`` fans them out to worker
+processes and merges rows by index, which keeps the output
 byte-identical to a sequential run.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, GenConfig, Grid, generate_dataset, make_grid, split_train_test
+from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
 from .forest import ForestParams, RandomForestRegressor
-from .linear import LinearRegression
-from .metrics import mse
-from .rng import derive_seed
+from .linear import fit_lines
+from .metrics import row_mse
+from .rng import derive_seed, stream_seeds
 
 MODELS = ("linear", "forest")
 
@@ -135,7 +139,7 @@ class PredictionMatrix:
 
 @dataclass(frozen=True)
 class CoefficientSamples:
-    """Per-replication linear coefficients (empty for forest studies)."""
+    """Per-replication linear coefficients (nan for forest studies)."""
 
     slopes: np.ndarray
     intercepts: np.ndarray
@@ -149,14 +153,8 @@ class CoefficientSamples:
         if self.test_mse is not None:
             object.__setattr__(self, "test_mse", np.asarray(self.test_mse, dtype=float))
 
-    def to_csv(self, dest, n_rows: int | None = None) -> None:
-        """CSV with header ``slope,intercept[,test_mse]``.
-
-        Forest studies have no coefficients; their rows carry nan in the
-        slope and intercept columns so the row count still equals R
-        (pass ``n_rows``).
-        """
-        n = len(self.slopes) if n_rows is None else n_rows
+    def to_csv(self, dest) -> None:
+        """CSV with header ``slope,intercept[,test_mse]``; nan stays ``nan``."""
         close = False
         if not hasattr(dest, "write"):
             dest = open(dest, "w", newline="")
@@ -166,11 +164,8 @@ class CoefficientSamples:
             if self.test_mse is not None:
                 header += ",test_mse"
             dest.write(header + "\n")
-            for r in range(n):
-                if r < len(self.slopes):
-                    cells = [repr(float(self.slopes[r])), repr(float(self.intercepts[r]))]
-                else:
-                    cells = ["nan", "nan"]
+            for r in range(len(self.slopes)):
+                cells = [repr(float(self.slopes[r])), repr(float(self.intercepts[r]))]
                 if self.test_mse is not None:
                     cells.append(repr(float(self.test_mse[r])))
                 dest.write(",".join(cells) + "\n")
@@ -196,31 +191,52 @@ class StudyResult(NamedTuple):
     coefficients: CoefficientSamples
 
 
-def _replicate(config: StudyConfig, r: int):
-    """Row r of the study: (predictions, slope, intercept, holdout mse)."""
-    master = config.gen.seed
-    big_r = config.replications
+# A block holds at most BLOCK replications and BLOCK_VALUES data values,
+# which bounds the memory of its arrays.
+BLOCK = 64
+BLOCK_VALUES = 2 ** 13
+
+
+def _replicate(config: StudyConfig, reps: range):
+    """Rows ``reps`` of the study: (predictions, slopes, intercepts, holdout mses).
+
+    The datasets, splits and linear fits of the whole block are computed
+    in (len(reps), ...) arrays; a forest is fitted once per replication.
+    Forest slopes and intercepts are nan, and holdout mses None without
+    a test split.
+    """
+    master, big_r = config.gen.seed, config.replications
+    grid = config.grid.points
+    at = 0  # offset in reps of the replication a failure is charged to
     try:
-        data = generate_dataset(replace(config.gen, seed=derive_seed(master, r)))
-        train: Dataset = data
-        test: Dataset | None = None
+        xs, ys = generate_rows(config.gen, stream_seeds(master, reps))
+        test_xs = test_ys = test_pred = holdout = None
         if config.test_fraction is not None:
-            train, test = split_train_test(
-                data, config.test_fraction, seed=derive_seed(master, 2 * big_r + r))
+            split_seeds = stream_seeds(master, range(reps.start + 2 * big_r,
+                                                     reps.stop + 2 * big_r))
+            (xs, ys), (test_xs, test_ys) = split_rows(xs, ys, config.test_fraction, split_seeds)
         if config.model == "linear":
-            model = LinearRegression().fit(train.xs, train.ys)
-            slope, intercept = model.slope_, model.intercept_
+            fits = fit_lines(xs, ys)
+            slopes, intercepts = fits.slope, fits.intercept
+            rows = fits.predict(grid)
+            if test_xs is not None:
+                test_pred = fits.predict(test_xs)
         else:
-            model = RandomForestRegressor.from_params(
-                config.forest, seed=derive_seed(master, big_r + r)).fit(train.xs, train.ys)
-            slope = intercept = None
-        row = model.predict(config.grid.points)
-        holdout = mse(test.ys, model.predict(test.xs)) if test is not None else None
-        return row, slope, intercept, holdout
-    except ReplicationError:
-        raise
+            slopes = intercepts = np.full(len(reps), np.nan)
+            rows = np.empty((len(reps), len(grid)))
+            if test_xs is not None:
+                test_pred = np.empty_like(test_xs)
+            for at, r in enumerate(reps):
+                model = RandomForestRegressor.from_params(
+                    config.forest, seed=derive_seed(master, big_r + r)).fit(xs[at], ys[at])
+                rows[at] = model.predict(grid)
+                if test_xs is not None:
+                    test_pred[at] = model.predict(test_xs[at])
+        if test_xs is not None:
+            holdout = row_mse(test_ys, test_pred)
+        return rows, slopes, intercepts, holdout
     except Exception as exc:
-        raise ReplicationError(r, str(exc)) from exc
+        raise ReplicationError(reps[at + getattr(exc, "row", 0)], str(exc)) from exc
 
 
 def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
@@ -233,27 +249,20 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     big_r = config.replications
+    size = max(1, min(BLOCK, BLOCK_VALUES // config.gen.n_samples))
+    if n_jobs > 1:
+        size = min(size, max(1, big_r // (n_jobs * 8)))
+    blocks = [range(a, min(a + size, big_r)) for a in range(0, big_r, size)]
     if n_jobs == 1:
-        results = [_replicate(config, r) for r in range(big_r)]
+        results = [_replicate(config, reps) for reps in blocks]
     else:
-        chunk = max(1, big_r // (n_jobs * 8))
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(partial(_replicate, config), range(big_r),
-                                    chunksize=chunk))
-    rows = np.array([res[0] for res in results])
-    matrix = PredictionMatrix(grid=config.grid, rows=rows)
-    holdout = None
-    if config.test_fraction is not None:
-        holdout = np.array([res[3] for res in results])
-    if config.model == "linear":
-        coeffs = CoefficientSamples(
-            slopes=np.array([res[1] for res in results]),
-            intercepts=np.array([res[2] for res in results]),
-            test_mse=holdout)
-    else:
-        coeffs = CoefficientSamples(slopes=np.empty(0), intercepts=np.empty(0),
-                                    test_mse=holdout)
-    return StudyResult(matrix=matrix, coefficients=coeffs)
+            results = list(pool.map(partial(_replicate, config), blocks))
+    rows, slopes, intercepts, holdout = (
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*results))
+    coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
+    return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
+                       coefficients=coeffs)
 
 
 def single_sample_curve(config: StudyConfig, replication: int) -> np.ndarray:
@@ -261,4 +270,4 @@ def single_sample_curve(config: StudyConfig, replication: int) -> np.ndarray:
     if not 0 <= replication < config.replications:
         raise IndexError(
             f"replication must be in [0, {config.replications}), got {replication}")
-    return _replicate(config, replication)[0]
+    return _replicate(config, range(replication, replication + 1))[0][0]

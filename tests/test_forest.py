@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,12 @@ from predbands.rng import Rng
 def exhaustive_tree_oracle(xs, ys, max_depth=None, min_leaf=1, min_split=2):
     """Independent plain-Python CART: exhaustive SSE search at every node.
 
+    Candidate SSEs are compared exactly, as rationals of the float inputs,
+    so an exact tie goes to the lowest threshold, not to rounding.
     Returns (thresholds, leaf values) in left-to-right order, matching the
     flattened representation of DecisionTreeRegressor.
     """
     rows = sorted(zip(map(float, xs), map(float, ys)))
-
-    def sse(part):
-        m = sum(y for _, y in part) / len(part)
-        return sum((y - m) ** 2 for _, y in part)
 
     def grow(part, depth, thresholds, values):
         n = len(part)
@@ -28,15 +28,20 @@ def exhaustive_tree_oracle(xs, ys, max_depth=None, min_leaf=1, min_split=2):
                 or min(targets) == max(targets)):
             values.append(sum(targets) / n)
             return
+        exact = [Fraction(y) for y in targets]
+        total, total_sq = sum(exact), sum(y * y for y in exact)
+        left = 0
         best = None
         for i in range(n - 1):
+            left += exact[i]
             if part[i][0] == part[i + 1][0]:
                 continue
             if i + 1 < min_leaf or n - i - 1 < min_leaf:
                 continue
-            total = sse(part[: i + 1]) + sse(part[i + 1 :])
-            if best is None or total < best[0]:
-                best = (total, i)
+            right = total - left
+            sse = total_sq - left * left / (i + 1) - right * right / (n - i - 1)
+            if best is None or sse < best[0]:
+                best = (sse, i)
         if best is None:
             values.append(sum(targets) / n)
             return

@@ -5,7 +5,7 @@ import pytest
 
 from predbands._gauss import normal_quantile
 from predbands.dataset import GenConfig, generate_dataset, make_grid
-from predbands.linear import LinearRegression, SingularFitError
+from predbands.linear import LinearRegression, SingularFitError, fit_lines
 from predbands.rng import Rng
 
 
@@ -116,6 +116,12 @@ class TestFit:
             LinearRegression().fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             LinearRegression().fit([1.0], [1.0])
+
+    def test_batched_fit_names_its_first_degenerate_row(self):
+        xs = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [5.0, 5.0, 5.0]])
+        with pytest.raises(SingularFitError) as info:
+            fit_lines(xs, np.ones_like(xs))
+        assert info.value.row == 1
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(ValueError, match="not fitted"):

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from predbands import montecarlo
 from predbands.dataset import GenConfig, make_grid
 from predbands.forest import ForestParams
 from predbands.montecarlo import (
@@ -83,8 +84,9 @@ class TestRunStudy:
         config = small_config(model="forest",
                               forest=ForestParams(n_trees=5), replications=3)
         result = run_study(config)
-        assert len(result.coefficients.slopes) == 0
-        assert len(result.coefficients.intercepts) == 0
+        assert np.isnan(result.coefficients.slopes).all()
+        assert np.isnan(result.coefficients.intercepts).all()
+        assert len(result.coefficients.slopes) == 3
         assert result.matrix.rows.shape == (3, 5)
 
     def test_holdout_mse_recorded_when_split_enabled(self):
@@ -107,6 +109,18 @@ class TestRunStudy:
         with pytest.raises(ReplicationError, match="replication 0") as info:
             run_study(config)
         assert info.value.replication == 0
+
+    def test_fit_failure_inside_a_block_names_its_replication(self, monkeypatch):
+        real = montecarlo.generate_rows
+
+        def flat_x_in_replication_5(config, seeds):
+            xs, ys = real(config, seeds)
+            xs[5] = 160.0
+            return xs, ys
+
+        monkeypatch.setattr(montecarlo, "generate_rows", flat_x_in_replication_5)
+        with pytest.raises(ReplicationError, match="replication 5: all x values"):
+            run_study(small_config())
 
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ValueError):
@@ -195,12 +209,12 @@ class TestCoefficientSamples:
         assert lines[1] == "1.0,-100.0"
 
     def test_forest_rows_are_nan_padded(self):
-        samples = CoefficientSamples(slopes=np.empty(0), intercepts=np.empty(0))
+        config = small_config(model="forest", forest=ForestParams(n_trees=2),
+                              replications=3)
         buf = io.StringIO()
-        samples.to_csv(buf, n_rows=3)
+        run_study(config).coefficients.to_csv(buf)
         lines = buf.getvalue().splitlines()
-        assert len(lines) == 4
-        assert lines[1] == "nan,nan"
+        assert lines == ["slope,intercept"] + ["nan,nan"] * 3
 
     def test_test_mse_column(self):
         samples = CoefficientSamples(slopes=np.array([1.0]),

@@ -1,54 +1,22 @@
-"""Property tests: bootstrap block draws and batched forest trees against oracles."""
+"""Property tests: block draws, block replications and batched forest trees
+against per-row runs and oracles."""
 
-from fractions import Fraction
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predbands import forest
-from predbands.dataset import GenConfig, generate_dataset
-from predbands.forest import RandomForestRegressor
-from predbands.rng import Rng, derive_seed, stream_integers
+from predbands.dataset import GenConfig, generate_dataset, make_grid
+from predbands.forest import ForestParams, RandomForestRegressor
+from predbands.montecarlo import StudyConfig, _replicate
+from predbands.rng import Rng, Streams, derive_seed, stream_integers, stream_seeds
 
 from test_forest import exhaustive_tree_oracle
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
-
-
-def rational_tree_oracle(xs, ys, max_depth=None, min_leaf=1, min_split=2):
-    """The search of exhaustive_tree_oracle, in exact rational arithmetic.
-
-    Integer-valued targets make equal-SSE cuts common.  The float oracle
-    breaks such ties by rounding; this one by the documented rule, the
-    lowest threshold.
-    """
-    rows = sorted(zip(map(float, xs), map(Fraction, ys)))
-    thresholds, values = [], []
-
-    def sse(part):
-        mean = sum(y for _, y in part) / len(part)
-        return sum((y - mean) ** 2 for _, y in part)
-
-    def grow(part, depth):
-        n = len(part)
-        targets = [y for _, y in part]
-        cuts = []
-        if not (n < min_split or (max_depth is not None and depth >= max_depth)
-                or min(targets) == max(targets)):
-            cuts = [i for i in range(min_leaf, n - min_leaf + 1)
-                    if part[i - 1][0] != part[i][0]]
-        if not cuts:
-            values.append(float(sum(targets) / n))
-            return
-        i = min(cuts, key=lambda i: sse(part[:i]) + sse(part[i:]))  # first minimum
-        grow(part[:i], depth + 1)
-        thresholds.append((part[i - 1][0] + part[i][0]) / 2.0)
-        grow(part[i:], depth + 1)
-
-    grow(rows, 0)
-    return np.array(thresholds), np.array(values)
 
 
 @PROPERTY
@@ -93,7 +61,7 @@ def forest_cases(draw, integer_targets):
     )
 
 
-def check_trees(case, oracle):
+def check_trees(case):
     forest = RandomForestRegressor(
         n_trees=case["n_trees"], max_depth=case["max_depth"],
         min_samples_leaf=case["min_leaf"], min_samples_split=case["min_split"],
@@ -102,8 +70,9 @@ def check_trees(case, oracle):
     assert len(forest.trees_) == case["n_trees"]
     for t, tree in enumerate(forest.trees_):
         idx = Rng(derive_seed(case["seed"], t)).integers(n, size=n)
-        want_t, want_v = oracle(case["xs"][idx], case["ys"][idx], case["max_depth"],
-                                case["min_leaf"], case["min_split"])
+        want_t, want_v = exhaustive_tree_oracle(case["xs"][idx], case["ys"][idx],
+                                                case["max_depth"], case["min_leaf"],
+                                                case["min_split"])
         assert tree.thresholds_.shape == want_t.shape, f"tree {t}"
         assert np.allclose(tree.thresholds_, want_t, rtol=1e-12, atol=1e-12), f"tree {t}"
         assert np.allclose(tree.leaf_values_, want_v, rtol=1e-12, atol=1e-12), f"tree {t}"
@@ -115,11 +84,95 @@ def check_trees(case, oracle):
 @PROPERTY
 @given(forest_cases(integer_targets=False))
 def test_bootstrapped_trees_match_exhaustive_oracle(case):
-    check_trees(case, exhaustive_tree_oracle)
+    check_trees(case)
 
 
 # Few integer targets: constant nodes and exact SSE ties are common.
 @PROPERTY
 @given(forest_cases(integer_targets=True))
-def test_bootstrapped_trees_with_tied_targets_match_rational_oracle(case):
-    check_trees(case, rational_tree_oracle)
+def test_bootstrapped_trees_with_tied_targets_match_exhaustive_oracle(case):
+    check_trees(case)
+
+
+def polar_oracle(seed, n):
+    """Scalar polar method, one uniform pair at a time: (n normals, pairs consumed)."""
+    rng, out, pairs = Rng(seed), [], 0
+    while len(out) < n:
+        a, b = rng.uniforms(2)
+        pairs += 1
+        u, v = 2.0 * a - 1.0, 2.0 * b - 1.0
+        s = u * u + v * v
+        if 0.0 < s < 1.0:
+            f = math.sqrt(-2.0 * math.log(s) / s)
+            out += [u * f, v * f]
+    return np.array(out[:n]), pairs
+
+
+def check_block_normals(seeds, n):
+    """Each row of a block of normals equals its stream drawn alone, and the
+    scalar oracle; the draw after it equals the oracle's next draw."""
+    block = Streams(seeds)
+    normals, after = block.normals(n), block.uniforms(1)[:, 0]
+    rounds = []
+    for i, seed in enumerate(map(int, seeds)):
+        alone = Rng(seed)
+        assert np.array_equal(normals[i], alone.normals(n)), f"row {i}"
+        assert after[i] == alone.uniforms(1)[0], f"row {i}"
+        want, pairs = polar_oracle(seed, n)
+        assert np.allclose(normals[i], want, rtol=1e-14, atol=0.0), f"row {i}"
+        assert after[i] == Rng(seed).uniforms(2 * pairs + 1)[-1], f"row {i}"
+        rounds.append(pairs > (n + 1) // 2)
+    return rounds
+
+
+@PROPERTY
+@given(master=st.integers(0, 2**64 - 1), rows=st.integers(1, 12), n=st.integers(0, 41))
+def test_block_normals_equal_per_row_draws(master, rows, n):
+    check_block_normals(stream_seeds(master, range(rows)), n)
+
+
+def test_block_normals_with_several_rejection_rounds():
+    # 101 pairs a row: every row rejects some pair, so a lone row needs a
+    # second round, and the block's rows end at different draws
+    assert all(check_block_normals(stream_seeds(5, range(64)), 201))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 60), extra=st.integers(0, 60))
+def test_normals_prefix(seed, k, extra):
+    assert np.array_equal(Rng(seed).normals(k), Rng(seed).normals(k + extra)[:k])
+
+
+@st.composite
+def study_blocks(draw):
+    """A small study and a block of its replications; n_test leaves >= 2 training rows."""
+    n = draw(st.integers(2, 41))
+    n_test = draw(st.integers(0, n - 2))
+    replications = draw(st.integers(2, 40))
+    first = draw(st.integers(0, replications - 1))
+    return dict(seed=draw(st.integers(0, 2**64 - 1)), n=n, n_test=n_test,
+                model=draw(st.sampled_from(["linear", "forest"])),
+                replications=replications,
+                reps=(first, draw(st.integers(first + 1, replications))))
+
+
+@PROPERTY
+@given(study_blocks())
+@example(dict(seed=3, n=2, n_test=0, model="linear", replications=9, reps=(0, 9)))
+@example(dict(seed=4, n=7, n_test=3, model="linear", replications=9, reps=(2, 9)))
+@example(dict(seed=5, n=9, n_test=2, model="forest", replications=5, reps=(0, 5)))
+def test_block_rows_equal_batches_of_one(case):
+    config = StudyConfig(
+        gen=GenConfig(n_samples=case["n"], seed=case["seed"]),
+        grid=make_grid(150.0, 200.0, 7), replications=case["replications"],
+        model=case["model"], forest=ForestParams(n_trees=2, min_samples_leaf=1),
+        test_fraction=case["n_test"] / case["n"] if case["n_test"] else None)
+    reps = range(*case["reps"])
+    block = _replicate(config, reps)
+    assert len(block[0]) == len(reps)
+    for i, r in enumerate(reps):
+        one = _replicate(config, range(r, r + 1))
+        for got, want in zip(block, one):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got[i], want[0], equal_nan=True), f"replication {r}"
