@@ -93,8 +93,9 @@ class Streams:
         """(rows, n) doubles, i.i.d. standard normal (polar method).
 
         Row i holds the first (n+1)//2 accepted pairs of its stream.
-        Rounds draw as many more pairs as the shortest row still lacks;
-        pairs a row draws past its last accepted one are not consumed.
+        Each round draws, for every row, as many more pairs as the row
+        furthest from done still lacks; pairs a row draws past its last
+        accepted one are not consumed.
         """
         rows, pairs = len(self._seeds), (n + 1) // 2
         u = v = s = np.empty((rows, 0))
