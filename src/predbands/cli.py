@@ -51,10 +51,10 @@ def _fmt(value: float) -> str:
 
 
 def _write_columns(dest, columns: dict, fmt: str) -> None:
-    """Write named, equal-length columns as CSV or JSON."""
+    """Write named, equal-length columns as CSV or JSON (nan as null)."""
     if fmt == "json":
-        json.dump({k: [float(v) for v in vals] for k, vals in columns.items()},
-                  dest, indent=2)
+        json.dump({k: [None if v != v else float(v) for v in vals]
+                   for k, vals in columns.items()}, dest, indent=2)
         dest.write("\n")
         return
     names = list(columns)
@@ -166,10 +166,8 @@ def cmd_study(args) -> int:
                 "x": curve.grid.points, "mean": curve.mean, "sd": curve.sd,
                 "q1": curve.q1, "median": curve.median, "q3": curve.q3,
                 "iqr": curve.iqr, "low": curve.low, "high": curve.high}, "json")
-        # JSON has no nan: a forest study's coefficient lists stay empty
-        linear = config.model == "linear"
-        coeff_cols = {"slope": result.coefficients.slopes if linear else [],
-                      "intercept": result.coefficients.intercepts if linear else []}
+        coeff_cols = {"slope": result.coefficients.slopes,
+                      "intercept": result.coefficients.intercepts}
         if result.coefficients.test_mse is not None:
             coeff_cols["test_mse"] = result.coefficients.test_mse
         with open(coeffs_path, "w") as out:

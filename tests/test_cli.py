@@ -228,6 +228,17 @@ class TestStudy:
         assert set(bands) == {"x", "mean", "sd", "q1", "median", "q3",
                               "iqr", "low", "high"}
 
+    def test_forest_json_coefficients_are_null(self, capsys, tmp_path):
+        prefix = str(tmp_path / "fj")
+        code, _, _ = run_cli(capsys, "study", "--model", "forest", "--trees", "3",
+                             "--replications", "3", "--grid-points", "3",
+                             "--test-fraction", "0.3", "--format", "json",
+                             "--output", prefix)
+        assert code == 0
+        coeffs = json.loads((tmp_path / "fj_coefficients.json").read_text())
+        assert coeffs["slope"] == coeffs["intercept"] == [None] * 3
+        assert len(coeffs["test_mse"]) == 3
+
     def test_replication_failure_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "study", "--samples", "2",
                                "--test-fraction", "0.5", "--replications", "2",
