@@ -14,17 +14,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
 from .dataset import Dataset, GenConfig, generate_dataset, make_grid
 from .forest import ForestParams, RandomForestRegressor
 from .linear import LinearRegression, SingularFitError
-from .montecarlo import ReplicationError, StudyConfig, run_study
+from .montecarlo import PredictionMatrix, ReplicationError, StudyConfig, run_study
 from .stats import band_curve, distribution_report
+from .table import read_table, write_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,31 +38,32 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _open_out(path: str):
+    """Text handle for an output path; ``-`` is stdout.
+
+    A file is written under a temporary name beside ``path`` and moved
+    into place only when the block succeeds, so a failed command leaves
+    no partial file.
+    """
     if path == "-":
         yield sys.stdout
-    else:
-        handle = open(path, "w", newline="")
-        try:
+        return
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        handle = open(temp, "x", newline="")
+    except OSError as exc:  # name the file the user asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
             yield handle
-        finally:
-            handle.close()
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _write_columns(dest, columns: dict, fmt: str) -> None:
-    """Write named, equal-length columns as CSV or JSON (nan as null)."""
-    if fmt == "json":
-        json.dump({k: [None if v != v else float(v) for v in vals]
-                   for k, vals in columns.items()}, dest, indent=2)
-        dest.write("\n")
-        return
-    names = list(columns)
-    dest.write(",".join(names) + "\n")
-    for row in zip(*columns.values()):
-        dest.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
@@ -94,10 +97,7 @@ def _forest_params(args) -> ForestParams:
 def cmd_generate(args) -> int:
     data = generate_dataset(_gen_config(args))
     with _open_out(args.output) as out:
-        if args.format == "json":
-            _write_columns(out, {"x": data.xs, "y": data.ys}, "json")
-        else:
-            data.to_csv(out)
+        write_table(out, *data.table(), args.format)
     print(f"{len(data)} rows (seed {args.seed})", file=sys.stderr)
     if args.output != "-":
         print(args.output)
@@ -111,11 +111,8 @@ def cmd_fit(args) -> int:
         output = "-"  # the fitted curve is the whole point of a forest fit
     # keep stdout clean CSV/JSON when it is the data sink
     info = sys.stderr if output == "-" else sys.stdout
-
-    def fit_grid():
-        lo = args.x_min if args.x_min is not None else float(data.xs.min())
-        hi = args.x_max if args.x_max is not None else float(data.xs.max())
-        return make_grid(lo, hi, args.grid_points)
+    lo = args.x_min if args.x_min is not None else float(data.xs.min())
+    hi = args.x_max if args.x_max is not None else float(data.xs.max())
 
     if args.model == "linear":
         model = LinearRegression().fit(data.xs, data.ys)
@@ -123,26 +120,23 @@ def cmd_fit(args) -> int:
         for name in ("intercept", "slope", "intercept_se", "slope_se", "residual_se"):
             print(f"{name}: {_fmt(getattr(model, name + '_'))}", file=info)
         print(f"n: {model.n_}", file=info)
-        if output is not None:
-            grid = fit_grid()
-            lower, upper = model.prediction_band(grid.points, level=args.level,
-                                                 kind=args.band)
-            cols = {"x": grid.points, "predicted": model.predict(grid.points),
-                    "lower": lower, "upper": upper}
-            with _open_out(output) as out:
-                _write_columns(out, cols, args.format)
-            if output != "-":
-                print(output)
+        if output is None:
+            return 0
+        grid = make_grid(lo, hi, args.grid_points)
+        lower, upper = model.prediction_band(grid.points, level=args.level,
+                                             kind=args.band)
+        cols = {"x": grid.points, "predicted": model.predict(grid.points),
+                "lower": lower, "upper": upper}
     else:
         model = RandomForestRegressor.from_params(_forest_params(args), seed=args.seed)
         model.fit(data.xs, data.ys)
         print(model, file=info)
-        grid = fit_grid()
+        grid = make_grid(lo, hi, args.grid_points)
         cols = {"x": grid.points, "predicted": model.predict(grid.points)}
-        with _open_out(output) as out:
-            _write_columns(out, cols, args.format)
-        if output != "-":
-            print(output)
+    with _open_out(output) as out:
+        write_table(out, list(cols), np.column_stack(list(cols.values())), args.format)
+    if output != "-":
+        print(output)
     return 0
 
 
@@ -156,75 +150,36 @@ def cmd_study(args) -> int:
         test_fraction=args.test_fraction,
     )
     result = run_study(config, n_jobs=args.threads)
-    curve = band_curve(result.matrix)
     ext = "json" if args.format == "json" else "csv"
-    bands_path = f"{args.output}_bands.{ext}"
-    coeffs_path = f"{args.output}_coefficients.{ext}"
-    if args.format == "json":
-        with open(bands_path, "w") as out:
-            _write_columns(out, {
-                "x": curve.grid.points, "mean": curve.mean, "sd": curve.sd,
-                "q1": curve.q1, "median": curve.median, "q3": curve.q3,
-                "iqr": curve.iqr, "low": curve.low, "high": curve.high}, "json")
-        coeff_cols = {"slope": result.coefficients.slopes,
-                      "intercept": result.coefficients.intercepts}
-        if result.coefficients.test_mse is not None:
-            coeff_cols["test_mse"] = result.coefficients.test_mse
-        with open(coeffs_path, "w") as out:
-            _write_columns(out, coeff_cols, "json")
-    else:
-        curve.to_csv(bands_path)
-        result.coefficients.to_csv(coeffs_path)
-    print(bands_path)
-    print(coeffs_path)
+    outputs = [(f"{args.output}_bands.{ext}", band_curve(result.matrix), args.format),
+               (f"{args.output}_coefficients.{ext}", result.coefficients, args.format)]
     if args.emit_matrix:
-        matrix_path = f"{args.output}_matrix.csv"
-        result.matrix.to_csv(matrix_path)
-        print(matrix_path)
+        outputs.append((f"{args.output}_matrix.csv", result.matrix, "csv"))
+    # every file is moved into place only after all of them are written
+    with ExitStack() as stack:
+        for path, data, fmt in outputs:
+            write_table(stack.enter_context(_open_out(path)), *data.table(), fmt)
+    for path, _, _ in outputs:
+        print(path)
     return 0
-
-
-def _read_named_columns(path: str) -> dict[str, list[float]]:
-    """Parse a CSV of named columns; headerless numeric files get
-    positional names "0", "1", ..."""
-    with open(path, "r", newline="") as handle:
-        lines = [ln for ln in handle.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    first = lines[0].split(",")
-    try:
-        [float(c) for c in first]
-        names = [str(i) for i in range(len(first))]
-        start = 0
-    except ValueError:
-        names = [c.strip() for c in first]
-        start = 1
-    columns: dict[str, list[float]] = {name: [] for name in names}
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ValueError(f"line {lineno}: expected {len(names)} fields, got {len(cells)}")
-        for name, cell in zip(names, cells):
-            try:
-                columns[name].append(float(cell))
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse {cell!r}") from None
-    return columns
 
 
 def cmd_report(args) -> int:
     if args.at_x is not None:
-        from .montecarlo import PredictionMatrix
-
-        matrix = PredictionMatrix.from_csv(args.samples)
-        values = matrix.column_at(args.at_x)
+        values = PredictionMatrix.from_csv(args.samples).column_at(args.at_x)
     else:
-        columns = _read_named_columns(args.samples)
-        name = args.column if args.column is not None else next(iter(columns))
-        if name not in columns:
+        names, rows = read_table(args.samples)
+        try:
+            first = [float(cell) for cell in names]
+        except ValueError:
+            pass
+        else:  # a headerless numeric file: positional names "0", "1", ...
+            names, rows = [str(i) for i in range(len(names))], np.vstack([first, rows])
+        name = args.column if args.column is not None else names[0]
+        if name not in names:
             raise ValueError(
-                f"unknown column {name!r}; available: {', '.join(columns)}")
-        values = np.array(columns[name])
+                f"unknown column {name!r}; available: {', '.join(names)}")
+        values = rows[:, names.index(name)]
     doc = distribution_report(values, bins=args.bins)
     with _open_out(args.output) as out:
         json.dump(doc, out, indent=2)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .base import check_xy
 from .rng import Streams
+from .table import read_table, write_table
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -60,47 +61,21 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.xs)
 
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """Header ``x,y`` and one row per observation."""
+        return ["x", "y"], np.column_stack([self.xs, self.ys])
+
     def to_csv(self, dest) -> None:
-        """Write as CSV with header ``x,y`` at full round-trip precision."""
-        close = False
-        if not hasattr(dest, "write"):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            dest.write("x,y\n")
-            for x, y in zip(self.xs, self.ys):
-                dest.write(f"{float(x)!r},{float(y)!r}\n")
-        finally:
-            if close:
-                dest.close()
+        """Write to a path or text handle as a CSV table."""
+        write_table(dest, *self.table())
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":
         """Read a dataset written by :meth:`to_csv`."""
-        close = False
-        if not hasattr(source, "read"):
-            source = open(source, "r", newline="")
-            close = True
-        try:
-            lines = source.read().splitlines()
-        finally:
-            if close:
-                source.close()
-        if not lines or lines[0].strip() != "x,y":
+        names, rows = read_table(source)
+        if names != ["x", "y"]:
             raise ValueError("line 1: expected header 'x,y'")
-        xs, ys = [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 2 comma-separated fields")
-            try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse numbers from {line!r}") from None
-        return cls(np.array(xs), np.array(ys))
+        return cls(rows[:, 0], rows[:, 1])
 
 
 @dataclass(frozen=True)

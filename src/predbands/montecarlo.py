@@ -21,6 +21,7 @@ byte-identical to a sequential run.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -32,6 +33,7 @@ from .forest import ForestParams, RandomForestRegressor
 from .linear import fit_lines
 from .metrics import row_mse
 from .rng import derive_seed, stream_seeds
+from .table import read_table, write_table
 
 MODELS = ("linear", "forest")
 
@@ -71,9 +73,9 @@ class PredictionMatrix:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.grid.points):
-            raise ValueError(
-                f"rows must be 2-D with {len(self.grid.points)} columns, got {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] != len(self.grid.points) or not len(rows):
+            raise ValueError(f"rows must be 2-D with {len(self.grid.points)} columns "
+                             f"and at least one row, got {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("prediction matrix contains NaN or Inf")
         rows = rows.copy()
@@ -93,48 +95,23 @@ class PredictionMatrix:
                 f"({len(self.grid.points)} points)")
         return self.rows[:, hits[0]]
 
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """Header of grid values and the prediction rows."""
+        return [repr(x) for x in self.grid.points.tolist()], self.rows
+
     def to_csv(self, dest) -> None:
-        """CSV whose header row holds the grid values."""
-        close = False
-        if not hasattr(dest, "write"):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            dest.write(",".join(repr(float(x)) for x in self.grid.points) + "\n")
-            for row in self.rows:
-                dest.write(",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if close:
-                dest.close()
+        """Write to a path or text handle as a CSV table."""
+        write_table(dest, *self.table())
 
     @classmethod
     def from_csv(cls, source) -> "PredictionMatrix":
-        close = False
-        if not hasattr(source, "read"):
-            source = open(source, "r", newline="")
-            close = True
+        """Read a matrix written by :meth:`to_csv`."""
+        names, rows = read_table(source)
         try:
-            lines = [ln for ln in source.read().splitlines() if ln.strip()]
-        finally:
-            if close:
-                source.close()
-        if not lines:
-            raise ValueError("line 1: expected a header of grid values")
-        try:
-            grid = Grid(np.array([float(c) for c in lines[0].split(",")]))
+            grid = Grid(np.array([float(c) for c in names]))
         except ValueError as exc:
             raise ValueError(f"line 1: {exc}") from None
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(grid.points):
-                raise ValueError(
-                    f"line {lineno}: expected {len(grid.points)} fields, got {len(cells)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse numbers") from None
-        return cls(grid=grid, rows=np.array(rows))
+        return cls(grid=grid, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -153,25 +130,16 @@ class CoefficientSamples:
         if self.test_mse is not None:
             object.__setattr__(self, "test_mse", np.asarray(self.test_mse, dtype=float))
 
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """Header ``slope,intercept[,test_mse]`` and one row per replication."""
+        columns = {"slope": self.slopes, "intercept": self.intercepts}
+        if self.test_mse is not None:
+            columns["test_mse"] = self.test_mse
+        return list(columns), np.column_stack(list(columns.values()))
+
     def to_csv(self, dest) -> None:
-        """CSV with header ``slope,intercept[,test_mse]``; nan stays ``nan``."""
-        close = False
-        if not hasattr(dest, "write"):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            header = "slope,intercept"
-            if self.test_mse is not None:
-                header += ",test_mse"
-            dest.write(header + "\n")
-            for r in range(len(self.slopes)):
-                cells = [repr(float(self.slopes[r])), repr(float(self.intercepts[r]))]
-                if self.test_mse is not None:
-                    cells.append(repr(float(self.test_mse[r])))
-                dest.write(",".join(cells) + "\n")
-        finally:
-            if close:
-                dest.close()
+        """Write to a path or text handle as a CSV table; nan stays ``nan``."""
+        write_table(dest, *self.table())
 
 
 class ReplicationError(RuntimeError):
@@ -253,13 +221,18 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
     if n_jobs > 1:
         size = min(size, max(1, big_r // (n_jobs * 8)))
     blocks = [range(a, min(a + size, big_r)) for a in range(0, big_r, size)]
-    if n_jobs == 1:
-        results = [_replicate(config, reps) for reps in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(partial(_replicate, config), blocks))
-    rows, slopes, intercepts, holdout = (
-        None if parts[0] is None else np.concatenate(parts) for parts in zip(*results))
+    # Blocks are copied into place as they arrive and then dropped: no
+    # list of blocks and no concatenated copy of the matrix is held.
+    rows = np.empty((big_r, len(config.grid)))
+    slopes, intercepts = np.empty(big_r), np.empty(big_r)
+    holdout = None if config.test_fraction is None else np.empty(big_r)
+    with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(partial(_replicate, config), blocks)
+        for reps, part in zip(blocks, parts):
+            at = slice(reps.start, reps.stop)
+            rows[at], slopes[at], intercepts[at] = part[:3]
+            if holdout is not None:
+                holdout[at] = part[3]
     coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
     return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
                        coefficients=coeffs)

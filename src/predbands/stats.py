@@ -25,6 +25,7 @@ from ._gauss import normal_pdf
 from .base import as_float_vector
 from .dataset import Grid
 from .linear import LinearRegression
+from .table import write_table
 
 if TYPE_CHECKING:
     from .montecarlo import PredictionMatrix
@@ -109,21 +110,15 @@ class BandCurve:
                             q3=float(self.q3[i]), iqr=float(self.iqr[i]),
                             low=float(self.low[i]), high=float(self.high[i]))
 
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """Header ``x,mean,sd,q1,median,q3,iqr,low,high`` and one row per grid point."""
+        names = ["mean", "sd", "q1", "median", "q3", "iqr", "low", "high"]
+        return ["x"] + names, np.column_stack(
+            [self.grid.points] + [getattr(self, name) for name in names])
+
     def to_csv(self, dest) -> None:
-        """CSV with header ``x,mean,sd,q1,median,q3,iqr,low,high``."""
-        close = False
-        if not hasattr(dest, "write"):
-            dest = open(dest, "w", newline="")
-            close = True
-        try:
-            dest.write("x,mean,sd,q1,median,q3,iqr,low,high\n")
-            for i, x in enumerate(self.grid.points):
-                cells = (x, self.mean[i], self.sd[i], self.q1[i], self.median[i],
-                         self.q3[i], self.iqr[i], self.low[i], self.high[i])
-                dest.write(",".join(repr(float(c)) for c in cells) + "\n")
-        finally:
-            if close:
-                dest.close()
+        """Write to a path or text handle as a CSV table."""
+        write_table(dest, *self.table())
 
 
 def band_curve(matrix: "PredictionMatrix") -> BandCurve:
@@ -131,14 +126,15 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     rows = matrix.rows
     if rows.shape[0] < 2:
         raise ValueError(f"need at least 2 replications, got {rows.shape[0]}")
+    # sd's matrix-sized temporary is freed before the sorted copy is made
+    mean, sd = np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1)
     sorted_cols = np.sort(rows, axis=0)
     q1 = _column_quantile(sorted_cols, 0.25)
     median = _column_quantile(sorted_cols, 0.5)
     q3 = _column_quantile(sorted_cols, 0.75)
     iqr = q3 - q1
     return BandCurve(grid=matrix.grid, q1=q1, median=median, q3=q3, iqr=iqr,
-                     low=q1 - 1.5 * iqr, high=q3 + 1.5 * iqr,
-                     mean=np.mean(rows, axis=0), sd=np.std(rows, axis=0, ddof=1))
+                     low=q1 - 1.5 * iqr, high=q3 + 1.5 * iqr, mean=mean, sd=sd)
 
 
 def band_slope(curve: BandCurve) -> float:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from predbands import montecarlo
+from predbands import cli, montecarlo, table
 from predbands.cli import main
 from predbands.dataset import Dataset, GenConfig, generate_dataset
 from predbands.linear import LinearRegression
@@ -239,6 +239,19 @@ class TestStudy:
         assert coeffs["slope"] == coeffs["intercept"] == [None] * 3
         assert len(coeffs["test_mse"]) == 3
 
+    def test_failed_write_leaves_no_partial_output(self, capsys, monkeypatch, tmp_path):
+        def write_table(dest, header, rows, fmt="csv"):
+            if header[0] == "slope":
+                raise OSError("disk full")
+            table.write_table(dest, header, rows, fmt)
+
+        monkeypatch.setattr(cli, "write_table", write_table)
+        code, out, err = run_cli(capsys, "study", "--replications", "4", "--emit-matrix",
+                                 "--output", str(tmp_path / "p"))
+        assert code in (1, 2)
+        assert "disk full" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_replication_failure_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "study", "--samples", "2",
                                "--test-fraction", "0.5", "--replications", "2",
@@ -299,6 +312,36 @@ class TestReport:
                                "--at-x", "151.7")
         assert code == 1
         assert "not on the grid" in err
+
+    def test_bad_cell_outside_selected_column_names_line(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("150.0,175.0,200.0\n1.0,2.0,3.0\n\n4.0,5.0,oops\n")
+        code, _, err = run_cli(capsys, "report", str(path), "--at-x", "150")
+        assert code == 1
+        assert "line 4: could not parse 'oops'" in err
+
+    def test_ragged_row_names_line(self, capsys, tmp_path):
+        for args in ([], ["--at-x", "150"]):
+            path = tmp_path / "m.csv"
+            path.write_text("150.0,175.0,200.0\n1.0,2.0,3.0\n  \n4.0,5.0\n7.0,8.0,9.0\n")
+            code, _, err = run_cli(capsys, "report", str(path), *args)
+            assert code == 1
+            assert "line 4: expected 3 fields, got 2" in err
+
+    def test_crlf_and_blank_lines_are_accepted(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\r\n150.0,200.0\r\n1.0,2.0\r\n \t\r\n\r\n3.0,4.0\r\n")
+        code, out, _ = run_cli(capsys, "report", str(path), "--at-x", "200")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 2 and doc["mean"] == 3.0
+
+    def test_header_only_matrix(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("150.0,175.0,200.0\n")
+        code, _, err = run_cli(capsys, "report", str(path), "--at-x", "150")
+        assert code == 1
+        assert "rows must be 2-D with 3 columns" in err
 
     def test_constant_column(self, capsys, tmp_path):
         path = tmp_path / "const.csv"

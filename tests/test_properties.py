@@ -1,17 +1,21 @@
 """Property tests: block draws, block replications and batched forest trees
-against per-row runs and oracles."""
+against per-row runs and oracles; the table writer against its reader."""
 
+import io
+import json
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from predbands import forest
 from predbands.dataset import GenConfig, generate_dataset, make_grid
 from predbands.forest import ForestParams, RandomForestRegressor
 from predbands.montecarlo import StudyConfig, _replicate
 from predbands.rng import Rng, Streams, derive_seed, stream_integers, stream_seeds
+from predbands.table import read_table, write_table
 
 from test_forest import exhaustive_tree_oracle
 
@@ -176,3 +180,41 @@ def test_block_rows_equal_batches_of_one(case):
             assert (got is None) == (want is None)
             if got is not None:
                 assert np.array_equal(got[i], want[0], equal_nan=True), f"replication {r}"
+
+
+# -0.0, subnormals, and the doubles around 1e16 and 1e-4, where repr
+# switches between positional and exponent form
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
+                0.0001, 9.999999999999999e-05, 0.00010000000000000002, -0.0001,
+                1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@st.composite
+def tables(draw):
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 5)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(arrays(np.float64, shape, elements=finite | st.sampled_from(EDGE_DOUBLES)))
+    # coefficient cells of a forest study are nan
+    rows[draw(arrays(np.bool_, shape))] = np.nan
+    return rows
+
+
+@PROPERTY
+@given(tables())
+@example(np.array([EDGE_DOUBLES]))
+@example(np.array(EDGE_DOUBLES)[:, None])
+@example(np.array([[np.nan, np.nan, 0.5]] * 3))
+def test_table_round_trip_is_bit_exact(rows):
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    csv, doc = io.StringIO(), io.StringIO()
+    write_table(csv, header, rows)
+    write_table(doc, header, rows, "json")
+    names, back = read_table(io.StringIO(csv.getvalue()))
+    assert names == header
+    columns = json.loads(doc.getvalue())
+    from_json = np.array([[np.nan if v is None else v for v in columns[name]]
+                          for name in header]).T
+    for got in (back, from_json):
+        assert got.shape == rows.shape
+        assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
