@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
@@ -40,22 +41,33 @@ class _Parser(argparse.ArgumentParser):
 def _open_out(path: str):
     """Text handle for an output path; ``-`` is stdout.
 
-    A file is written under a temporary name beside ``path`` and moved
-    into place only when the block succeeds, so a failed command leaves
-    no partial file.
+    A new file, or a regular file it replaces, is written under a
+    temporary name beside ``path`` and moved into place, with the old
+    file's permission bits, only when the block succeeds, so a failed
+    command leaves no partial file.  Any other path (a symlink, a device
+    such as /dev/null, a FIFO), or one whose directory takes no new
+    file, is opened and written in place.
     """
     if path == "-":
         yield sys.stdout
         return
-    head, tail = os.path.split(path)
-    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        handle = open(temp, "x", newline="")
-    except OSError as exc:  # name the file the user asked for
-        raise OSError(exc.errno, exc.strerror, path) from None
+    temp = None
+    if not os.path.lexists(path) or (os.path.isfile(path) and not os.path.islink(path)):
+        head, tail = os.path.split(path)
+        temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        try:
+            handle = open(temp, "x", newline="")
+        except OSError:
+            temp = None
+    if temp is None:
+        with open(path, "w", newline="") as handle:
+            yield handle
+        return
     try:
         with handle:
             yield handle
+        if os.path.exists(path):
+            shutil.copymode(path, temp)
         os.replace(temp, path)
     except BaseException:
         os.remove(temp)
@@ -155,7 +167,8 @@ def cmd_study(args) -> int:
                (f"{args.output}_coefficients.{ext}", result.coefficients, args.format)]
     if args.emit_matrix:
         outputs.append((f"{args.output}_matrix.csv", result.matrix, "csv"))
-    # every file is moved into place only after all of them are written
+    # every file is opened and written before any is moved into place, so a
+    # failed write, or a directory in the way of one, leaves none of them
     with ExitStack() as stack:
         for path, data, fmt in outputs:
             write_table(stack.enter_context(_open_out(path)), *data.table(), fmt)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .base import check_xy
 from .rng import Streams
-from .table import read_table, write_table
+from .table import read_table
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -65,13 +65,9 @@ class Dataset:
         """Header ``x,y`` and one row per observation."""
         return ["x", "y"], np.column_stack([self.xs, self.ys])
 
-    def to_csv(self, dest) -> None:
-        """Write to a path or text handle as a CSV table."""
-        write_table(dest, *self.table())
-
     @classmethod
     def from_csv(cls, source) -> "Dataset":
-        """Read a dataset written by :meth:`to_csv`."""
+        """Read a dataset CSV table (header ``x,y``)."""
         names, rows = read_table(source)
         if names != ["x", "y"]:
             raise ValueError("line 1: expected header 'x,y'")

@@ -33,7 +33,7 @@ from .forest import ForestParams, RandomForestRegressor
 from .linear import fit_lines
 from .metrics import row_mse
 from .rng import derive_seed, stream_seeds
-from .table import read_table, write_table
+from .table import read_table
 
 MODELS = ("linear", "forest")
 
@@ -99,13 +99,9 @@ class PredictionMatrix:
         """Header of grid values and the prediction rows."""
         return [repr(x) for x in self.grid.points.tolist()], self.rows
 
-    def to_csv(self, dest) -> None:
-        """Write to a path or text handle as a CSV table."""
-        write_table(dest, *self.table())
-
     @classmethod
     def from_csv(cls, source) -> "PredictionMatrix":
-        """Read a matrix written by :meth:`to_csv`."""
+        """Read a prediction matrix CSV table (header of grid values)."""
         names, rows = read_table(source)
         try:
             grid = Grid(np.array([float(c) for c in names]))
@@ -136,10 +132,6 @@ class CoefficientSamples:
         if self.test_mse is not None:
             columns["test_mse"] = self.test_mse
         return list(columns), np.column_stack(list(columns.values()))
-
-    def to_csv(self, dest) -> None:
-        """Write to a path or text handle as a CSV table; nan stays ``nan``."""
-        write_table(dest, *self.table())
 
 
 class ReplicationError(RuntimeError):

@@ -25,7 +25,6 @@ from ._gauss import normal_pdf
 from .base import as_float_vector
 from .dataset import Grid
 from .linear import LinearRegression
-from .table import write_table
 
 if TYPE_CHECKING:
     from .montecarlo import PredictionMatrix
@@ -115,10 +114,6 @@ class BandCurve:
         names = ["mean", "sd", "q1", "median", "q3", "iqr", "low", "high"]
         return ["x"] + names, np.column_stack(
             [self.grid.points] + [getattr(self, name) for name in names])
-
-    def to_csv(self, dest) -> None:
-        """Write to a path or text handle as a CSV table."""
-        write_table(dest, *self.table())
 
 
 def band_curve(matrix: "PredictionMatrix") -> BandCurve:

@@ -10,37 +10,26 @@ to its column, with nan written as ``null``.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import nullcontext
 from itertools import chain
 
 import numpy as np
 
 
-@contextmanager
-def _opened(target, mode: str):
-    # a path is opened here; an open text handle is used as it is
-    if hasattr(target, "write" if mode == "w" else "read"):
-        yield target
-    else:
-        with open(target, mode, newline="" if mode == "w" else None) as handle:
-            yield handle
-
-
-def write_table(dest, header, rows: np.ndarray, fmt: str = "csv") -> None:
-    """Write ``header`` names and the rows of a 2-D float array to a path or text handle.
+def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
+    """Write ``header`` names and the rows of a 2-D float array to a text handle.
 
     ``fmt`` is ``"csv"`` or ``"json"``.  Rows are formatted one at a time,
     so a large table is never held as Python floats all at once.
     """
-    with _opened(dest, "w") as out:
-        if fmt == "json":
-            json.dump({name: [None if v != v else v for v in rows[:, j].tolist()]
-                       for j, name in enumerate(header)}, out, indent=2)
-            out.write("\n")
-            return
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(map(repr, row.tolist())) + "\n")
+    if fmt == "json":
+        json.dump({name: [None if v != v else v for v in rows[:, j].tolist()]
+                   for j, name in enumerate(header)}, out, indent=2)
+        out.write("\n")
+        return
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_table(source) -> tuple[list[str], np.ndarray]:
@@ -53,7 +42,7 @@ def read_table(source) -> tuple[list[str], np.ndarray]:
     to the same double as ``float``.  A malformed line raises ValueError
     naming its line number.
     """
-    with _opened(source, "r") as handle:
+    with nullcontext(source) if hasattr(source, "read") else open(source) as handle:
         header, lineno = "", 0
         while not header.strip():
             header = handle.readline()

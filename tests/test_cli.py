@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,12 +10,21 @@ from predbands import cli, montecarlo, table
 from predbands.cli import main
 from predbands.dataset import Dataset, GenConfig, generate_dataset
 from predbands.linear import LinearRegression
+from predbands.table import write_table
 
 
 def _die_in_worker(config, r):
     if multiprocessing.parent_process() is None:
         raise AssertionError("expected to run in a worker process")
     os._exit(1)
+
+
+ROOT = hasattr(os, "geteuid") and os.geteuid() == 0
+
+
+def write_csv(path, data):
+    with open(path, "w", newline="") as out:
+        write_table(out, *data.table())
 
 
 def run_cli(capsys, *argv):
@@ -73,11 +83,67 @@ class TestGenerate:
         assert "error" in err
 
 
+class TestOutputPaths:
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        target = tmp_path / "real.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "generate", "--samples", "3", "--output", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().splitlines()[0] == "x,y"
+        assert len(target.read_text().splitlines()) == 4
+
+    def test_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+        try:
+            code, _, _ = run_cli(capsys, "generate", "--samples", "3", "--output", str(fifo))
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received.splitlines()[0] == "x,y" and len(received.splitlines()) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    @pytest.mark.skipif(ROOT, reason="a regression would replace the device node")
+    def test_devnull_is_written_in_place(self, capsys):
+        code, _, _ = run_cli(capsys, "generate", "--output", os.devnull)
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        code, _, _ = run_cli(capsys, "generate", "--output", str(path))
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text().splitlines()[0] == "x,y"
+
+    @pytest.mark.skipif(ROOT, reason="root may create files in a read-only directory")
+    def test_file_in_read_only_directory_is_overwritten(self, capsys, tmp_path):
+        path = tmp_path / "ro" / "data.csv"
+        path.parent.mkdir()
+        path.write_text("old\n")
+        path.parent.chmod(0o500)
+        try:
+            code, _, _ = run_cli(capsys, "generate", "--output", str(path))
+        finally:
+            path.parent.chmod(0o700)
+        assert code == 0
+        assert path.read_text().splitlines()[0] == "x,y"
+        assert [p.name for p in path.parent.iterdir()] == ["data.csv"]
+
+
 class TestFit:
     @pytest.fixture()
     def data_file(self, tmp_path):
         path = tmp_path / "data.csv"
-        generate_dataset(GenConfig(seed=3)).to_csv(str(path))
+        write_csv(path, generate_dataset(GenConfig(seed=3)))
         return str(path)
 
     def test_linear_report_matches_library(self, capsys, data_file):
@@ -96,7 +162,7 @@ class TestFit:
 
     def test_exact_line_report(self, capsys, tmp_path):
         path = tmp_path / "line.csv"
-        Dataset(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 5.0])).to_csv(str(path))
+        write_csv(path, Dataset(np.array([0.0, 1.0, 2.0]), np.array([1.0, 3.0, 5.0])))
         code, out, _ = run_cli(capsys, "fit", str(path))
         fields = dict(line.split(": ") for line in out.splitlines()[1:])
         assert float(fields["slope"]) == 2.0
@@ -137,7 +203,7 @@ class TestFit:
 
     def test_singular_data_is_fit_failure(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
-        Dataset(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0])).to_csv(str(path))
+        write_csv(path, Dataset(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0])))
         code, _, err = run_cli(capsys, "fit", str(path))
         assert code == 2
         assert "identical" in err
@@ -251,6 +317,14 @@ class TestStudy:
         assert code in (1, 2)
         assert "disk full" in err and out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_directory_in_the_way_leaves_no_output(self, capsys, tmp_path):
+        (tmp_path / "p_coefficients.csv").mkdir()
+        code, out, err = run_cli(capsys, "study", "--replications", "4", "--emit-matrix",
+                                 "--output", str(tmp_path / "p"))
+        assert code == 1
+        assert "p_coefficients.csv" in err and out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["p_coefficients.csv"]
 
     def test_replication_failure_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "study", "--samples", "2",

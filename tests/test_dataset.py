@@ -11,6 +11,7 @@ from predbands.dataset import (
     make_grid,
     split_train_test,
 )
+from predbands.table import write_table
 
 DEFAULTS = GenConfig()  # intercept -100, slope 1, x in [150, 200), sigma 10, n 100
 
@@ -86,7 +87,7 @@ class TestDataset:
     def test_csv_round_trip_is_lossless(self):
         data = generate_dataset(GenConfig(n_samples=25, seed=5))
         buf = io.StringIO()
-        data.to_csv(buf)
+        write_table(buf, *data.table())
         back = Dataset.from_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(data.xs, back.xs)
         assert np.array_equal(data.ys, back.ys)

@@ -14,6 +14,7 @@ from predbands.montecarlo import (
     run_study,
     single_sample_curve,
 )
+from predbands.table import write_table
 
 
 def small_config(**overrides):
@@ -179,7 +180,7 @@ class TestPredictionMatrix:
         config = small_config(replications=3)
         matrix = run_study(config).matrix
         buf = io.StringIO()
-        matrix.to_csv(buf)
+        write_table(buf, *matrix.table())
         back = PredictionMatrix.from_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(matrix.grid.points, back.grid.points)
         assert np.array_equal(matrix.rows, back.rows)
@@ -188,7 +189,7 @@ class TestPredictionMatrix:
         grid = make_grid(150.0, 200.0, 3)
         matrix = PredictionMatrix(grid=grid, rows=np.zeros((2, 3)))
         buf = io.StringIO()
-        matrix.to_csv(buf)
+        write_table(buf, *matrix.table())
         header = buf.getvalue().splitlines()[0]
         assert [float(c) for c in header.split(",")] == [150.0, 175.0, 200.0]
 
@@ -202,7 +203,7 @@ class TestCoefficientSamples:
         samples = CoefficientSamples(slopes=np.array([1.0, 1.1]),
                                      intercepts=np.array([-100.0, -99.0]))
         buf = io.StringIO()
-        samples.to_csv(buf)
+        write_table(buf, *samples.table())
         lines = buf.getvalue().splitlines()
         assert lines[0] == "slope,intercept"
         assert len(lines) == 3
@@ -212,7 +213,7 @@ class TestCoefficientSamples:
         config = small_config(model="forest", forest=ForestParams(n_trees=2),
                               replications=3)
         buf = io.StringIO()
-        run_study(config).coefficients.to_csv(buf)
+        write_table(buf, *run_study(config).coefficients.table())
         lines = buf.getvalue().splitlines()
         assert lines == ["slope,intercept"] + ["nan,nan"] * 3
 
@@ -221,7 +222,7 @@ class TestCoefficientSamples:
                                      intercepts=np.array([2.0]),
                                      test_mse=np.array([0.5]))
         buf = io.StringIO()
-        samples.to_csv(buf)
+        write_table(buf, *samples.table())
         lines = buf.getvalue().splitlines()
         assert lines[0] == "slope,intercept,test_mse"
         assert lines[1].endswith(",0.5")

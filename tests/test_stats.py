@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from predbands.stats import (
     quantile,
     quartile_band,
 )
+from predbands.table import write_table
 
 
 class TestQuantile:
@@ -140,12 +143,12 @@ class TestBandCurve:
         with pytest.raises(ValueError):
             band_curve(PredictionMatrix(grid=grid, rows=np.array([[1.0, 2.0]])))
 
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self):
         grid = make_grid(0.0, 1.0, 2)
         matrix = PredictionMatrix(grid=grid, rows=np.array([[0.0, 0.0], [10.0, 10.0]]))
-        path = tmp_path / "bands.csv"
-        band_curve(matrix).to_csv(str(path))
-        lines = path.read_text().splitlines()
+        buf = io.StringIO()
+        write_table(buf, *band_curve(matrix).table())
+        lines = buf.getvalue().splitlines()
         assert lines[0] == "x,mean,sd,q1,median,q3,iqr,low,high"
         assert len(lines) == 3
         first = [float(c) for c in lines[1].split(",")]
