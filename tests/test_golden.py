@@ -39,6 +39,15 @@ HOLDOUT = {
 }
 HOLDOUT_FLAGS = ["--test-fraction", "0.2", "--replications", "50", "--grid-points", "11"]
 
+# Forest study with a 30% holdout (R=20 of 10 trees): the test_mse column
+# pins forest predictions at each replication's own holdout points.
+FOREST_HOLDOUT = {
+    "_bands.csv": "ee0f2959f58a727401da8be1b9dbfcad8dcf8257eff730a409d3c02dcd36e6e6",
+    "_coefficients.csv": "71e35661342dc5a2448f3cc69bd752ab26e02a08c84e59ede88aa50fc6616e15",
+    "_matrix.csv": "acc881a2b0ee223020fa05be1c0fe14d4a9e7505fb5883341e871bcac71108bb",
+}
+FOREST_HOLDOUT_FLAGS = FOREST_FLAGS + ["--test-fraction", "0.3"]
+
 
 def study_hashes(tmp_path, name, flags):
     prefix = str(tmp_path / name)
@@ -66,3 +75,9 @@ def test_holdout_study(tmp_path, threads):
 def test_small_forest_study(tmp_path, threads):
     got = study_hashes(tmp_path, "forest", FOREST_FLAGS + ["--threads", threads])
     assert got == FOREST_SMALL
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_forest_holdout_study(tmp_path, threads):
+    got = study_hashes(tmp_path, "forest", FOREST_HOLDOUT_FLAGS + ["--threads", threads])
+    assert got == FOREST_HOLDOUT
