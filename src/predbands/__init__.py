@@ -17,6 +17,7 @@ from .montecarlo import (
     ReplicationError,
     StudyConfig,
     StudyResult,
+    WorkerError,
     run_study,
     single_sample_curve,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "SingularFitError",
     "StudyConfig",
     "StudyResult",
+    "WorkerError",
     "band_curve",
     "band_slope",
     "boxplot_summary",

@@ -17,7 +17,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .dataset import Dataset, GenConfig, generate_dataset, make_grid
 from .forest import ForestParams, RandomForestRegressor
 from .linear import LinearRegression, SingularFitError
-from .montecarlo import PredictionMatrix, ReplicationError, StudyConfig, run_study
+from .montecarlo import PredictionMatrix, ReplicationError, StudyConfig, WorkerError, run_study
 from .stats import band_curve, distribution_report
 from .table import read_table, write_table
 
@@ -245,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-replication holdout fraction (default: off)")
     p_study.add_argument("--threads", type=int, default=1,
                          help="worker processes; does not affect results. Linear "
-                              "studies run fastest on 1 (default study: 0.29 s, "
-                              "against 0.32 s on 2 workers); forest studies gain "
-                              "from more")
+                              "studies run fastest on 1; forest studies gain from more")
     p_study.add_argument("--emit-matrix", action="store_true",
                          help="also write the full prediction matrix CSV")
     p_study.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -278,7 +275,7 @@ def main(argv=None) -> int:
     except (SingularFitError, ReplicationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool:
+    except WorkerError:
         # only `study --threads N` starts workers
         print(f"error: a worker process died (--threads {args.threads}); "
               f"rerun with --threads 1", file=sys.stderr)

@@ -8,26 +8,29 @@ threshold so builds are deterministic.  Routing sends ``x <= threshold``
 left.  Because x is one-dimensional, a fitted tree is just a piecewise
 constant function, stored as its sorted cut points plus leaf means.
 
-All trees of a forest grow together, level by level.  x is sorted and
-deduplicated once per fit, and each tree's bootstrap sample becomes a
-vector of counts over the distinct x values.  Per-tree prefix sums of
-the counts and of the count-weighted targets give the size and sum of
-any node, or of either side of any cut, as two differences.  So one
-vectorized pass scores every cut of every open node of every tree at a
-depth.  A node stops splitting when it is too small, too deep, holds a
-single distinct x, has constant targets (an exact min/max test) or has no
-cut that leaves both children ``min_samples_leaf`` rows.  A single tree is
-a forest of one tree grown on its sample as given.
+:func:`fit_forests` grows the forests of a whole block of datasets, one
+per row, and every tree of them grows together, level by level.  Each
+dataset's x is deduplicated once, and each tree's bootstrap sample
+becomes a vector of counts over its dataset's distinct x values.
+Per-tree prefix sums of the counts and of the count-weighted targets
+give the size and sum of any node, or of either side of any cut, as two
+differences.  So one vectorized pass scores every cut of every open node
+of every tree at a depth.  A node stops splitting when it is too small,
+too deep, holds a single distinct x, has constant targets (an exact test
+on prefix counts) or has no cut that leaves both children
+``min_samples_leaf`` rows.  A forest or a single tree is a block of one
+row; a single tree is a forest of one tree grown on its sample as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .base import ParamsMixin, as_float_vector, check_xy
-from .rng import stream_integers
+from .rng import Streams, stream_seeds
 
 
 @dataclass(frozen=True)
@@ -49,120 +52,240 @@ class ForestParams:
             raise ValueError("min_samples_leaf and min_samples_split must be positive")
 
 
-# Rows drawn by the trees grown in one batch.  Working memory is about
-# 130 bytes per row, so a batch stays near 35 MB however large the data;
-# batching never changes a result, as each tree's arithmetic is its own.
-_BATCH_ROWS = 1 << 18
+# Rows drawn by the trees grown in one pass, whichever datasets they
+# belong to, and (tree, point) pairs predicted in one pass.  Growing
+# takes about 80 bytes per drawn row, so a pass stays near 1.6 MB however
+# large the block; passes never change a result, as each tree's
+# arithmetic is its own.
+_BATCH_ROWS = 20_000
 
 
-def _grow(xs, ys, params: ForestParams, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Grow ``params.n_trees`` trees; (thresholds, leaf values) of each.
+def forests_per_pass(n: int, n_trees: int) -> int:
+    """How many forests of ``n_trees`` trees on ``n`` rows one pass grows (at least 1)."""
+    return max(1, _BATCH_ROWS // (n * n_trees))
 
-    Tree t is fit to the bootstrap sample drawn from the stream
-    ``derive_seed(seed, t)``, or to (xs, ys) itself without bootstrap.
+
+class ForestFits(NamedTuple):
+    """Fitted forests of a block: every tree as its cut points and leaf values.
+
+    Trees are stored forest by forest, in tree order: tree t of forest r
+    is tree ``r * n_trees + t`` of the flat arrays.
     """
-    n = len(xs)
+
+    thresholds: np.ndarray  # every tree's sorted cut points, tree after tree
+    values: np.ndarray      # every tree's leaf values, left to right, tree after tree
+    n_leaves: np.ndarray    # (forests, n_trees) leaves of each tree
+
+    def trees(self, forest: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(thresholds, leaf values) of each tree of one forest."""
+        n_trees = self.n_leaves.shape[1]
+        first = forest * n_trees
+        ends = np.cumsum(self.n_leaves.ravel()[:first + n_trees]).tolist()
+        starts = [0] + ends[:-1]
+        # tree i has one cut fewer than leaves: its cuts are [s - i, e - i - 1)
+        return [(self.thresholds[s - i:e - i - 1], self.values[s:e])
+                for i, s, e in zip(range(first, first + n_trees), starts[first:], ends[first:])]
+
+    def predict(self, points: np.ndarray) -> np.ndarray:
+        """(forests, k) mean tree predictions at ``points``.
+
+        ``points`` is (k,), shared by every forest, or (forests, k), one
+        row of points per forest.
+        """
+        forests, n_trees = self.n_leaves.shape
+        k = points.shape[-1]
+        out = np.empty((forests, k))
+        leaf_ends = np.concatenate([[0], np.cumsum(self.n_leaves.ravel())])
+        per_pass = max(1, _BATCH_ROWS // (n_trees * max(k, 1)))
+        for first in range(0, forests, per_pass):
+            last = min(first + per_pass, forests)
+            t0, t1 = first * n_trees, last * n_trees
+            lo, hi = leaf_ends[t0], leaf_ends[t1]
+            cuts = self.thresholds[lo - t0:hi - t1]
+            # Rank cuts and points among the distinct cuts, then offset each
+            # tree's ranks into its own band: one sorted search then finds,
+            # for every (tree, point), the cuts below the point in earlier
+            # trees and in its own.  Adding the tree index gives a leaf index.
+            levels = np.unique(cuts)
+            band = (len(levels) + 1) * np.arange(t1 - t0)
+            keys = np.repeat(band, self.n_leaves.ravel()[t0:t1] - 1) + np.searchsorted(levels, cuts)
+            ranks = np.searchsorted(levels, points if points.ndim == 1 else points[first:last])
+            queries = band.reshape(last - first, n_trees, 1) + ranks.reshape(-1, 1, k)
+            leaf = np.searchsorted(keys, queries)
+            leaf += np.arange(t1 - t0).reshape(last - first, n_trees, 1)
+            out[first:last] = self.values[lo:hi][leaf].sum(axis=1) / n_trees
+        return out
+
+
+class _Block(NamedTuple):
+    """The datasets of a block, flattened row after row."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    group: np.ndarray   # rank of each x among its row's distinct x values
+    centre: np.ndarray  # median target of each row
+    n: int              # values per row
+
+
+def fit_forests(xs: np.ndarray, ys: np.ndarray, params: ForestParams, seeds) -> ForestFits:
+    """Grow a forest on every row of (rows, n) arrays xs and ys.
+
+    Tree t of row r is fit to the bootstrap sample drawn from the stream
+    ``derive_seed(seeds[r], t)``, or to the row itself without bootstrap.
+    Trees are grown in passes of at most ``_BATCH_ROWS`` drawn rows,
+    filled in (row, tree) order across row boundaries.
+    """
+    rows, n = xs.shape
     if n < params.min_samples_leaf:
         raise ValueError(
             f"need at least min_samples_leaf={params.min_samples_leaf} rows, got {n}")
-    per_batch = max(1, _BATCH_ROWS // n)
-    grown = []
-    for first in range(0, params.n_trees, per_batch):
-        batch = range(first, min(first + per_batch, params.n_trees))
-        grown += _grow_batch(xs, ys, params, seed, batch)
-    return grown
+    # Number each row's distinct x values from left to right.
+    order = np.argsort(xs, axis=1)
+    ordered = np.take_along_axis(xs, order, axis=1)
+    rises = np.empty((rows, n), dtype=np.int32)
+    rises[:, 0] = 0
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rises[:, 1:])
+    group = np.empty_like(rises)
+    np.put_along_axis(group, order, np.cumsum(rises, axis=1, dtype=np.int32), axis=1)
+    data = _Block(xs.ravel(), ys.ravel(), group.ravel(), np.median(ys, axis=1), n)
+    tree_seeds = stream_seeds(seeds, range(params.n_trees)).ravel() if params.bootstrap else None
+    total = rows * params.n_trees
+    per_pass = max(1, _BATCH_ROWS // n)
+    parts = [_grow(data, params, tree_seeds, range(first, min(first + per_pass, total)))
+             for first in range(0, total, per_pass)]
+    thresholds, values, n_leaves = (np.concatenate(part) for part in zip(*parts))
+    return ForestFits(thresholds, values, n_leaves.reshape(rows, params.n_trees))
 
 
-def _grow_batch(xs, ys, params: ForestParams, seed: int, trees: range):
-    """_grow for the trees numbered ``trees``, grown level by level together."""
-    n_trees, n = len(trees), len(xs)
-    distinct, group = np.unique(xs, return_inverse=True)
-    m = len(distinct)
-    if params.bootstrap:
-        draws = stream_integers(seed, trees, n, n)
+def _pack(data: _Block, params: ForestParams, tree_seeds, trees: range):
+    """Bootstrap the trees numbered ``trees`` and pack them one per row.
+
+    Tree i of the pass is a row of ``width`` entries: entry k holds the
+    k-th distinct x value the tree drew, and entry k of tree i sits at
+    flat index i*width + k.  Every row has one slot to spare, so a
+    node is a flat range [start, stop) and the prefix sums below (entry
+    k's count is added at k + 1) never reach the next tree.
+    """
+    n, n_trees = data.n, params.n_trees
+    dataset = np.arange(trees.start, trees.stop) // n_trees
+    if tree_seeds is not None:
+        draws = Streams(tree_seeds[trees.start:trees.stop]).integers(n, n)
+        draws += (dataset * n)[:, None]
     else:
-        draws = np.broadcast_to(np.arange(n), (n_trees, n))
-    # Number the distinct x values each tree drew from left to right.  Entry
-    # k of tree t sits at flat index t*width + k, so a node is a flat range
-    # [start, stop); a row has one slot to spare, so its prefix sums (entry
-    # k's count is added at k + 1) never reach the next tree.
-    rows, cols = np.arange(n_trees)[:, None], group[draws]
-    drawn = np.zeros((n_trees, m), dtype=bool)
-    drawn[rows, cols] = True
-    rank = drawn.cumsum(axis=1) - 1
-    per_tree = rank[:, -1] + 1
+        draws = np.arange(n) + (dataset * n)[:, None]
+    cols = data.group[draws]
+    drawn = np.zeros(cols.shape, dtype=bool)
+    at = np.arange(len(trees))[:, None]
+    drawn[at, cols] = True
+    rank = np.cumsum(drawn, axis=1, dtype=np.int32)
+    per_tree = rank[:, -1]
     width = int(per_tree.max()) + 1
-    row_start = np.arange(n_trees) * width
-    slot = (row_start[:, None] + rank[rows, cols]).ravel()
-    size = n_trees * width
+    slot = rank[at, cols]
+    del drawn, rank, cols
+    slot += (np.arange(len(trees), dtype=np.int32) * width - 1)[:, None]
+    slot = slot.ravel()
+    size = len(trees) * width
     x_at = np.zeros(size)
-    x_at[slot] = xs[draws].ravel()
-    y = ys[draws].ravel()
+    x_at[slot] = data.xs[draws].ravel()
+    y = data.ys[draws]
+    del draws
     y_low = np.full(size, np.inf)
     y_high = np.full(size, -np.inf)
-    np.minimum.at(y_low, slot, y)
-    np.maximum.at(y_high, slot, y)
+    np.minimum.at(y_low, slot, y.ravel())
+    np.maximum.at(y_high, slot, y.ravel())
     # Targets are centred to limit cancellation.  The median keeps
     # integer-valued targets exact, so mirror-image cuts tie exactly.
-    centre = float(np.median(ys))
-    prefix_n = np.bincount(slot + 1, minlength=size).reshape(n_trees, width)
-    prefix_n = prefix_n.cumsum(axis=1).ravel()
-    prefix_y = np.bincount(slot + 1, weights=y - centre, minlength=size).reshape(n_trees, width)
-    prefix_y = prefix_y.cumsum(axis=1).ravel()
+    centre = data.centre[dataset]
+    y -= centre[:, None]
+    slot += 1
+    prefix_y = np.bincount(slot, weights=y.ravel(), minlength=size)
+    del y
+    prefix_y = prefix_y.reshape(len(trees), width).cumsum(axis=1).ravel()
+    # Counts run on across rows, so prefix_n is monotone over the whole
+    # pass, and reach[v] is the first flat index whose prefix count is v
+    # or more: the searchsorted(prefix_n, v) of every count v.
+    counts = np.bincount(slot, minlength=size)
+    prefix_n = counts.cumsum(dtype=np.int32)
+    counts[0] = 1
+    reach = np.repeat(np.arange(size, dtype=np.int32), counts)
+    return width, per_tree, centre, x_at, y_low, y_high, prefix_n, prefix_y, reach
 
-    leaf_at, leaf_values, cut_at = [], [], []
-    start, stop = row_start, row_start + per_tree
+
+def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
+    """Grow the trees numbered ``trees`` level by level together.
+
+    Returns their cut points and leaf values, tree after tree, and the
+    number of leaves of each.
+    """
+    width, per_tree, centre, x_at, y_low, y_high, prefix_n, prefix_y, reach = _pack(
+        data, params, tree_seeds, trees)
+    # A node is constant when none of its entries mixes targets and no
+    # entry after its first differs from the entry before.
+    size = len(x_at)
+    mixed = np.zeros(size, dtype=np.int32)
+    np.cumsum(y_low[:-1] < y_high[:-1], out=mixed[1:])
+    steps = np.zeros(size, dtype=np.int32)
+    np.cumsum(y_low[1:] != y_low[:-1], out=steps[1:])
+    leaf_size = params.min_samples_leaf
+    # a node of fewer rows has no cut that leaves both children leaf_size
+    min_rows = max(params.min_samples_split, 2 * leaf_size)
+
+    leaf_at, leaf_means, cut_at = [], [], []
+    start = np.arange(len(trees)) * width
+    stop = start + per_tree
     depth = 0
     while len(start):
         n_in = prefix_n[stop] - prefix_n[start]
-        bounds = np.column_stack([start, stop]).ravel()
-        lo = np.minimum.reduceat(y_low, bounds)[::2]
-        hi = np.maximum.reduceat(y_high, bounds)[::2]
-        open_ = np.flatnonzero((n_in >= params.min_samples_split) & (lo < hi)
-                               & (stop - start > 1))
+        open_ = ((n_in >= min_rows) & (stop - start > 1)
+                 & ((mixed[stop] > mixed[start]) | (steps[stop - 1] > steps[start])))
         if params.max_depth is not None and depth >= params.max_depth:
-            open_ = open_[:0]
-        # Cut j sends entries [a, j] left.  Its score is the total child SSE
-        # minus the node's own sum of squares, which no cut changes.
+            open_[:] = False
+        # A cut is the first entry k of its right child, and the cuts that
+        # leave both children leaf_size rows are the k from low to high.
         a, b = start[open_], stop[open_]
-        n_cuts = b - a - 1
+        low = reach[prefix_n[a] + leaf_size]
+        high = reach[prefix_n[b] - leaf_size + 1] - 1
+        n_cuts = high - low + 1  # >= 0, as each node has 2 * leaf_size rows
+        has_cut = n_cuts > 0
+        open_[open_] = has_cut
+        a, b, low, n_cuts = a[has_cut], b[has_cut], low[has_cut], n_cuts[has_cut]
         first = np.cumsum(n_cuts) - n_cuts
-        j = np.arange(n_cuts.sum()) + np.repeat(a - first, n_cuts)
-        a, b = np.repeat(a, n_cuts), np.repeat(b, n_cuts)
-        n_left = prefix_n[j + 1] - prefix_n[a]
-        n_right = prefix_n[b] - prefix_n[j + 1]
-        s_left = prefix_y[j + 1] - prefix_y[a]
-        s_right = prefix_y[b] - prefix_y[j + 1]
-        score = np.where((n_left >= params.min_samples_leaf)
-                         & (n_right >= params.min_samples_leaf),
-                         -(s_left * s_left / n_left + s_right * s_right / n_right), np.inf)
-        best = np.minimum.reduceat(score, first)
-        found = best < np.inf
+        k = np.repeat((low - first).astype(np.int32), n_cuts)
+        k += np.arange(len(k), dtype=np.int32)
+        # Its score is the total child SSE minus the node's own sum of
+        # squares, which no cut changes.
+        n_left = prefix_n[k]
+        n_right = np.repeat(prefix_n[b], n_cuts) - n_left
+        n_left -= np.repeat(prefix_n[a], n_cuts)
+        s_left = prefix_y[k]
+        s_right = np.repeat(prefix_y[b], n_cuts) - s_left
+        s_left -= np.repeat(prefix_y[a], n_cuts)
+        score = -(s_left * s_left / n_left + s_right * s_right / n_right)
+        del n_left, n_right, s_left, s_right
+        best = np.minimum.reduceat(score, first) if len(score) else score
         # the first minimum of a node is its lowest threshold
-        at_best = np.where(score == np.repeat(best, n_cuts), np.arange(len(score)), len(score))
-        cut = j[np.minimum.reduceat(at_best, first)[found]]
-        split = np.zeros(len(start), dtype=bool)
-        split[open_[found]] = True
-        leaf = ~split
-        mean = centre + (prefix_y[stop[leaf]] - prefix_y[start[leaf]]) / n_in[leaf]
+        ties = np.flatnonzero(score == np.repeat(best, n_cuts))
+        cut = k[ties[np.searchsorted(ties, first)]]
+        leaf = ~open_
+        means = centre[start[leaf] // width] + (
+            prefix_y[stop[leaf]] - prefix_y[start[leaf]]) / n_in[leaf]
         leaf_at.append(start[leaf])
-        # a mean can round past its targets' range by an ulp; keep it inside
-        leaf_values.append(np.clip(mean, lo[leaf], hi[leaf]))
+        leaf_means.append(means)
         cut_at.append(cut)
-        start, stop = (np.column_stack([start[split], cut + 1]).ravel(),
-                       np.column_stack([cut + 1, stop[split]]).ravel())
+        start, stop = np.concatenate([a, cut]), np.concatenate([cut, b])
         depth += 1
 
     leaf_at = np.concatenate(leaf_at)
     order = np.argsort(leaf_at)
-    values = np.concatenate(leaf_values)[order]
+    leaf_at = leaf_at[order]
+    # A leaf's targets lie between its first entry and the next leaf's;
+    # empty slots hold +-inf and change no bound.  A mean can round past
+    # its targets' range by an ulp; keep it inside.
+    values = np.clip(np.concatenate(leaf_means)[order],
+                     np.minimum.reduceat(y_low, leaf_at), np.maximum.reduceat(y_high, leaf_at))
     cut_at = np.sort(np.concatenate(cut_at))
-    thresholds = (x_at[cut_at] + x_at[cut_at + 1]) / 2.0
-    ends = np.cumsum(np.bincount(leaf_at // width, minlength=n_trees)).tolist()
-    # tree t holds leaves [s, e) and, having one cut fewer than leaves
-    # per tree, cuts [s - t, e - t - 1)
-    return [(thresholds[s - t:e - t - 1], values[s:e])
-            for t, (s, e) in enumerate(zip([0] + ends[:-1], ends))]
+    thresholds = (x_at[cut_at - 1] + x_at[cut_at]) / 2.0
+    return thresholds, values, np.bincount(leaf_at // width, minlength=len(trees))
 
 
 class DecisionTreeRegressor(ParamsMixin):
@@ -189,7 +312,7 @@ class DecisionTreeRegressor(ParamsMixin):
         params = ForestParams(n_trees=1, max_depth=self.max_depth,
                               min_samples_leaf=self.min_samples_leaf,
                               min_samples_split=self.min_samples_split, bootstrap=False)
-        [(thresholds, values)] = _grow(xs, ys, params, seed=0)
+        [(thresholds, values)] = fit_forests(xs[None], ys[None], params, [0]).trees(0)
         return self._set_fitted(thresholds, values)
 
     def _set_fitted(self, thresholds, values) -> "DecisionTreeRegressor":
@@ -237,10 +360,11 @@ class RandomForestRegressor(ParamsMixin):
     def fit(self, x, y) -> "RandomForestRegressor":
         params = ForestParams(**{f.name: getattr(self, f.name) for f in fields(ForestParams)})
         xs, ys = check_xy(x, y)
+        fits = fit_forests(xs[None], ys[None], params, [self.seed])
         self.trees_ = [
             DecisionTreeRegressor(params.max_depth, params.min_samples_leaf,
                                   params.min_samples_split)._set_fitted(thresholds, values)
-            for thresholds, values in _grow(xs, ys, params, self.seed)]
+            for thresholds, values in fits.trees(0)]
         return self
 
     def _check_fitted(self):
@@ -251,16 +375,7 @@ class RandomForestRegressor(ParamsMixin):
         self._check_fitted()
         xs = as_float_vector(x, "x")
         trees = self.trees_
-        n_cuts = [len(tree.thresholds_) for tree in trees]
-        cuts = np.concatenate([tree.thresholds_ for tree in trees])
-        values = np.concatenate([tree.leaf_values_ for tree in trees])
-        # Rank cuts and points among the distinct cuts, then offset each
-        # tree's ranks into its own band: one sorted search then finds, for
-        # every (tree, point), the cuts below the point in earlier trees and
-        # in its own.  Adding the tree index turns that into a leaf index.
-        levels = np.unique(cuts)
-        band = (len(levels) + 1) * np.arange(len(trees))
-        keys = np.repeat(band, n_cuts) + np.searchsorted(levels, cuts)
-        queries = band[:, None] + np.searchsorted(levels, xs)
-        leaf = np.searchsorted(keys, queries) + np.arange(len(trees))[:, None]
-        return values[leaf].sum(axis=0) / len(trees)
+        fits = ForestFits(np.concatenate([tree.thresholds_ for tree in trees]),
+                          np.concatenate([tree.leaf_values_ for tree in trees]),
+                          np.array([[tree.n_leaves_ for tree in trees]]))
+        return fits.predict(xs)[0]

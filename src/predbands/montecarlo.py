@@ -10,9 +10,9 @@ prediction matrix.  All randomness is scheduled from the master seed
 * split seed = derive_seed(master, 2 * R + r)   (only with a test split)
 
 Replications run in blocks of consecutive indices.  A block draws,
-splits, fits and predicts all its linear replications with array
-operations (a forest is still fitted once per replication), and every
-row is bit-identical to the same replication run alone.  Blocks are
+splits, fits and predicts all its replications with array operations
+(the forests of a block grow together in one pass of the grower), and
+every row is bit-identical to the same replication run alone.  Blocks are
 embarrassingly parallel; ``n_jobs > 1`` fans them out to worker
 processes and merges rows by index, which keeps the output
 byte-identical to a sequential run.
@@ -20,8 +20,6 @@ byte-identical to a sequential run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -29,10 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
-from .forest import ForestParams, RandomForestRegressor
+from .forest import ForestParams, fit_forests, forests_per_pass
 from .linear import fit_lines
 from .metrics import row_mse
-from .rng import derive_seed, stream_seeds
+from .rng import stream_seeds
 from .table import read_table
 
 MODELS = ("linear", "forest")
@@ -146,6 +144,10 @@ class ReplicationError(RuntimeError):
         return (type(self), (self.replication, self._message))
 
 
+class WorkerError(RuntimeError):
+    """A worker process of a parallel study died before returning its rows."""
+
+
 class StudyResult(NamedTuple):
     matrix: PredictionMatrix
     coefficients: CoefficientSamples
@@ -160,17 +162,14 @@ BLOCK_VALUES = 2 ** 13
 def _replicate(config: StudyConfig, reps: range):
     """Rows ``reps`` of the study: (predictions, slopes, intercepts, holdout mses).
 
-    The datasets, splits and linear fits of the whole block are computed
-    in (len(reps), ...) arrays; a forest is fitted once per replication.
-    Forest slopes and intercepts are nan, and holdout mses None without
-    a test split.
+    The datasets, splits, fits and predictions of the whole block are
+    computed in (len(reps), ...) arrays.  Forest slopes and intercepts
+    are nan, and holdout mses None without a test split.
     """
     master, big_r = config.gen.seed, config.replications
-    grid = config.grid.points
-    at = 0  # offset in reps of the replication a failure is charged to
     try:
         xs, ys = generate_rows(config.gen, stream_seeds(master, reps))
-        test_xs = test_ys = test_pred = holdout = None
+        test_xs = test_ys = holdout = None
         if config.test_fraction is not None:
             split_seeds = stream_seeds(master, range(reps.start + 2 * big_r,
                                                      reps.stop + 2 * big_r))
@@ -178,25 +177,16 @@ def _replicate(config: StudyConfig, reps: range):
         if config.model == "linear":
             fits = fit_lines(xs, ys)
             slopes, intercepts = fits.slope, fits.intercept
-            rows = fits.predict(grid)
-            if test_xs is not None:
-                test_pred = fits.predict(test_xs)
         else:
+            model_seeds = stream_seeds(master, range(reps.start + big_r, reps.stop + big_r))
+            fits = fit_forests(xs, ys, config.forest, model_seeds)
             slopes = intercepts = np.full(len(reps), np.nan)
-            rows = np.empty((len(reps), len(grid)))
-            if test_xs is not None:
-                test_pred = np.empty_like(test_xs)
-            for at, r in enumerate(reps):
-                model = RandomForestRegressor.from_params(
-                    config.forest, seed=derive_seed(master, big_r + r)).fit(xs[at], ys[at])
-                rows[at] = model.predict(grid)
-                if test_xs is not None:
-                    test_pred[at] = model.predict(test_xs[at])
+        rows = fits.predict(config.grid.points)
         if test_xs is not None:
-            holdout = row_mse(test_ys, test_pred)
+            holdout = row_mse(test_ys, fits.predict(test_xs))
         return rows, slopes, intercepts, holdout
     except Exception as exc:
-        raise ReplicationError(reps[at + getattr(exc, "row", 0)], str(exc)) from exc
+        raise ReplicationError(reps[getattr(exc, "row", 0)], str(exc)) from exc
 
 
 def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
@@ -210,6 +200,9 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     big_r = config.replications
     size = max(1, min(BLOCK, BLOCK_VALUES // config.gen.n_samples))
+    if config.model == "forest":
+        # a block's forests grow in one pass and are held until predicted
+        size = min(size, forests_per_pass(config.gen.n_samples, config.forest.n_trees))
     if n_jobs > 1:
         size = min(size, max(1, big_r // (n_jobs * 8)))
     blocks = [range(a, min(a + size, big_r)) for a in range(0, big_r, size)]
@@ -218,13 +211,26 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
     rows = np.empty((big_r, len(config.grid)))
     slopes, intercepts = np.empty(big_r), np.empty(big_r)
     holdout = None if config.test_fraction is None else np.empty(big_r)
-    with ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else nullcontext() as pool:
-        parts = (pool.map if pool else map)(partial(_replicate, config), blocks)
+
+    def collect(parts):
         for reps, part in zip(blocks, parts):
             at = slice(reps.start, reps.stop)
             rows[at], slopes[at], intercepts[at] = part[:3]
             if holdout is not None:
                 holdout[at] = part[3]
+
+    work = partial(_replicate, config)
+    if n_jobs == 1:
+        collect(map(work, blocks))
+    else:
+        # imported here, so a study on one process never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+                collect(pool.map(work, blocks))
+        except BrokenProcessPool as exc:
+            raise WorkerError(f"a worker process died ({n_jobs} workers)") from exc
     coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
     return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
                        coefficients=coeffs)

@@ -35,17 +35,30 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def stream_seeds(master_seed: int, streams: range) -> np.ndarray:
+def _seed_array(seeds) -> np.ndarray:
+    """A vector of seeds as uint64, each taken mod 2**64."""
+    seeds = np.asarray(seeds)
+    if seeds.dtype != np.uint64:
+        seeds = np.array([int(s) & _MASK for s in seeds.ravel()], dtype=np.uint64)
+    return seeds.ravel()
+
+
+def stream_seeds(master_seed, streams: range) -> np.ndarray:
     """uint64 seeds of the sub-streams ``streams`` of a master seed.
 
     Seed i is ``mix64(master_seed XOR (streams[i] + 1) * 0x9E3779B97F4A7C15)``
     (all mod 2**64).  The map is injective in the index for a fixed
-    master seed, so distinct indices can never collide.
+    master seed, so distinct indices can never collide.  Given a vector
+    of master seeds, row r holds the sub-stream seeds of master r.
     """
     if len(streams) and min(streams) < 0:
         raise ValueError("index must be non-negative")
     index = np.arange(streams.start, streams.stop, streams.step, dtype=np.uint64) + np.uint64(1)
-    return _mix64_vec(np.uint64(master_seed & _MASK) ^ (index * np.uint64(_GOLDEN)))
+    if isinstance(master_seed, (int, np.integer)):
+        master = np.uint64(int(master_seed) & _MASK)
+    else:
+        master = _seed_array(master_seed)[:, None]
+    return _mix64_vec(master ^ (index * np.uint64(_GOLDEN)))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -67,10 +80,7 @@ class Streams:
     """
 
     def __init__(self, seeds):
-        seeds = np.asarray(seeds)
-        if seeds.dtype != np.uint64:
-            seeds = np.array([int(s) & _MASK for s in seeds.ravel()], dtype=np.uint64)
-        self._seeds = seeds.reshape(-1, 1)
+        self._seeds = _seed_array(seeds).reshape(-1, 1)
         self._drawn = np.zeros_like(self._seeds)
 
     def _uniforms_at(self, drawn: np.ndarray, n: int) -> np.ndarray:
@@ -137,15 +147,6 @@ class Streams:
             idx[at, j] = idx[:, i]
             idx[:, i] = held
         return idx
-
-
-def stream_integers(master_seed: int, streams: range, bound: int, size: int) -> np.ndarray:
-    """(len(streams), size) bounded integers, one row per derived stream.
-
-    Row i equals ``Rng(derive_seed(master_seed, streams[i])).integers(bound, size)``
-    bit for bit, so a forest can draw many bootstrap samples at once.
-    """
-    return Streams(stream_seeds(master_seed, streams)).integers(bound, size)
 
 
 class Rng:

@@ -2,10 +2,13 @@ import json
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import predbands
 from predbands import cli, montecarlo, table
 from predbands.cli import main
 from predbands.dataset import Dataset, GenConfig, generate_dataset
@@ -334,6 +337,16 @@ class TestStudy:
         assert code == 2
         assert "replication 0" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_forest_replication_failure_exit_code(self, capsys, tmp_path, threads):
+        # 3 rows cannot fill a leaf of the default 5
+        code, out, err = run_cli(capsys, "study", "--model", "forest", "--samples", "3",
+                                 "--replications", "4", "--threads", threads,
+                                 "--output", str(tmp_path / "x"))
+        assert code == 2
+        assert "replication 0" in err
+        assert out == "" and not list(tmp_path.iterdir())
+
     def test_dead_worker_exit_code(self, capfd, monkeypatch, tmp_path):
         monkeypatch.setattr(montecarlo, "_replicate", _die_in_worker)
         code = main(["study", "--replications", "4", "--threads", "2",
@@ -458,3 +471,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: this one has imported multiprocessing already
+    src = os.path.dirname(os.path.dirname(predbands.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import predbands.cli, sys; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

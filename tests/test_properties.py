@@ -4,6 +4,7 @@ against per-row runs and oracles; the table writer against its reader."""
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from predbands import forest
 from predbands.dataset import GenConfig, generate_dataset, make_grid
 from predbands.forest import ForestParams, RandomForestRegressor
 from predbands.montecarlo import StudyConfig, _replicate
-from predbands.rng import Rng, Streams, derive_seed, stream_integers, stream_seeds
+from predbands.rng import Rng, Streams, derive_seed, stream_seeds
 from predbands.table import read_table, write_table
 
 from test_forest import exhaustive_tree_oracle
@@ -28,21 +29,42 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
        n_trees=st.integers(1, 20), n=st.integers(1, 300))
 def test_bootstrap_block_equals_per_tree_draws(seed, first, n_trees, n):
     trees = range(first, first + n_trees)
-    block = stream_integers(seed, trees, n, n)
+    block = Streams(stream_seeds(seed, trees)).integers(n, n)
     assert block.shape == (n_trees, n) and block.dtype == np.int64
     for row, t in zip(block, trees):
         assert np.array_equal(row, Rng(derive_seed(seed, t)).integers(n, size=n))
+    # a vector of masters gives one row of stream seeds per master
+    masters = stream_seeds(seed, range(3))
+    for master, row in zip(masters, stream_seeds(masters, trees)):
+        assert np.array_equal(row, stream_seeds(int(master), trees))
 
 
 def test_growing_in_batches_changes_no_tree(monkeypatch):
-    data = generate_dataset(GenConfig(seed=34))
-    whole = RandomForestRegressor(n_trees=12, seed=7).fit(data.xs, data.ys)
-    monkeypatch.setattr(forest, "_BATCH_ROWS", 5 * len(data.xs))  # 5 trees a batch
-    batched = RandomForestRegressor(n_trees=12, seed=7).fit(data.xs, data.ys)
-    assert len(batched.trees_) == 12
-    for a, b in zip(whole.trees_, batched.trees_):
-        assert np.array_equal(a.thresholds_, b.thresholds_)
-        assert np.array_equal(a.leaf_values_, b.leaf_values_)
+    """Trees of several datasets grown in shared passes equal each forest grown alone."""
+    master, big_r, n = 11, 40, 30
+    xs = np.array([Rng(r).uniform(0.0, 10.0, n) for r in range(5)])
+    ys = np.array([Rng(10 + r).normals(n) for r in range(5)])
+    xs[1] = np.floor(xs[1])  # repeated x
+    xs[2, ::2] = xs[2, 1::2]  # repeated x with distinct targets
+    ys[3] = 2.5  # constant targets
+    ys[4] = np.floor(ys[4])  # tied targets
+    seeds = stream_seeds(master, range(big_r, big_r + 5))
+    params = ForestParams(n_trees=12, min_samples_leaf=2, min_samples_split=4)
+    alone = [RandomForestRegressor.from_params(params, seed=derive_seed(master, big_r + r))
+             .fit(xs[r], ys[r]) for r in range(5)]
+    grid = np.linspace(0.0, 10.0, 23)
+    for rows_cap in (5 * n, 17 * n, forest._BATCH_ROWS):  # passes split a forest, or span several
+        monkeypatch.setattr(forest, "_BATCH_ROWS", rows_cap)
+        fits = forest.fit_forests(xs, ys, params, seeds)
+        for r, model in enumerate(alone):
+            trees = fits.trees(r)
+            assert len(trees) == 12
+            for tree, (thresholds, values) in zip(model.trees_, trees):
+                assert np.array_equal(tree.thresholds_, thresholds), f"forest {r}"
+                assert np.array_equal(tree.leaf_values_, values), f"forest {r}"
+            assert np.array_equal(fits.predict(grid)[r], model.predict(grid))
+            assert np.array_equal(fits.predict(xs)[r], model.predict(xs[r]))
+    assert alone[3].trees_[0].n_leaves_ == 1
 
 
 @st.composite
@@ -157,14 +179,18 @@ def study_blocks(draw):
     return dict(seed=draw(st.integers(0, 2**64 - 1)), n=n, n_test=n_test,
                 model=draw(st.sampled_from(["linear", "forest"])),
                 replications=replications,
-                reps=(first, draw(st.integers(first + 1, replications))))
+                reps=(first, draw(st.integers(first + 1, replications))),
+                rows_cap=draw(st.sampled_from([None, 1, 30, 100])))
 
 
 @PROPERTY
 @given(study_blocks())
-@example(dict(seed=3, n=2, n_test=0, model="linear", replications=9, reps=(0, 9)))
-@example(dict(seed=4, n=7, n_test=3, model="linear", replications=9, reps=(2, 9)))
-@example(dict(seed=5, n=9, n_test=2, model="forest", replications=5, reps=(0, 5)))
+@example(dict(seed=3, n=2, n_test=0, model="linear", replications=9, reps=(0, 9), rows_cap=None))
+@example(dict(seed=4, n=7, n_test=3, model="linear", replications=9, reps=(2, 9), rows_cap=None))
+@example(dict(seed=5, n=9, n_test=2, model="forest", replications=5, reps=(0, 5), rows_cap=None))
+# forest blocks that span several grower passes, with and without a holdout
+@example(dict(seed=6, n=10, n_test=0, model="forest", replications=9, reps=(1, 9), rows_cap=30))
+@example(dict(seed=7, n=12, n_test=4, model="forest", replications=9, reps=(0, 8), rows_cap=20))
 def test_block_rows_equal_batches_of_one(case):
     config = StudyConfig(
         gen=GenConfig(n_samples=case["n"], seed=case["seed"]),
@@ -172,7 +198,8 @@ def test_block_rows_equal_batches_of_one(case):
         model=case["model"], forest=ForestParams(n_trees=2, min_samples_leaf=1),
         test_fraction=case["n_test"] / case["n"] if case["n_test"] else None)
     reps = range(*case["reps"])
-    block = _replicate(config, reps)
+    with mock.patch.object(forest, "_BATCH_ROWS", case["rows_cap"] or forest._BATCH_ROWS):
+        block = _replicate(config, reps)
     assert len(block[0]) == len(reps)
     for i, r in enumerate(reps):
         one = _replicate(config, range(r, r + 1))
