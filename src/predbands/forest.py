@@ -60,9 +60,14 @@ class ForestParams:
 _BATCH_ROWS = 20_000
 
 
-def forests_per_pass(n: int, n_trees: int) -> int:
-    """How many forests of ``n_trees`` trees on ``n`` rows one pass grows (at least 1)."""
-    return max(1, _BATCH_ROWS // (n * n_trees))
+def forests_per_block(n: int, params: ForestParams) -> int:
+    """How many forests on ``n`` rows a block should fit at once (at least 1).
+
+    A block's trees are held until they have predicted.  A tree has at
+    most ``n / min_samples_leaf`` leaves, so this holds at most
+    ``_BATCH_ROWS`` leaves.
+    """
+    return max(1, _BATCH_ROWS * params.min_samples_leaf // (n * params.n_trees))
 
 
 class ForestFits(NamedTuple):

@@ -11,7 +11,7 @@ prediction matrix.  All randomness is scheduled from the master seed
 
 Replications run in blocks of consecutive indices.  A block draws,
 splits, fits and predicts all its replications with array operations
-(the forests of a block grow together in one pass of the grower), and
+(all trees of a block's forests grow together, level by level), and
 every row is bit-identical to the same replication run alone.  Blocks are
 embarrassingly parallel; ``n_jobs > 1`` fans them out to worker
 processes and merges rows by index, which keeps the output
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
-from .forest import ForestParams, fit_forests, forests_per_pass
+from .forest import ForestParams, fit_forests, forests_per_block
 from .linear import fit_lines
 from .metrics import row_mse
 from .rng import stream_seeds
@@ -154,7 +154,8 @@ class StudyResult(NamedTuple):
 
 
 # A block holds at most BLOCK replications and BLOCK_VALUES data values,
-# which bounds the memory of its arrays.
+# and a forest block at most forests_per_block forests, which bounds the
+# memory of its arrays.
 BLOCK = 64
 BLOCK_VALUES = 2 ** 13
 
@@ -201,8 +202,7 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
     big_r = config.replications
     size = max(1, min(BLOCK, BLOCK_VALUES // config.gen.n_samples))
     if config.model == "forest":
-        # a block's forests grow in one pass and are held until predicted
-        size = min(size, forests_per_pass(config.gen.n_samples, config.forest.n_trees))
+        size = min(size, forests_per_block(config.gen.n_samples, config.forest))
     if n_jobs > 1:
         size = min(size, max(1, big_r // (n_jobs * 8)))
     blocks = [range(a, min(a + size, big_r)) for a in range(0, big_r, size)]
