@@ -235,13 +235,12 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
     # a node of fewer rows has no cut that leaves both children leaf_size
     min_rows = max(params.min_samples_split, 2 * leaf_size)
 
-    leaf_at, leaf_means, cut_at = [], [], []
+    leaf_at, leaf_end, cut_at = [], [], []
     start = np.arange(len(trees)) * width
     stop = start + per_tree
     depth = 0
     while len(start):
-        n_in = prefix_n[stop] - prefix_n[start]
-        open_ = ((n_in >= min_rows) & (stop - start > 1)
+        open_ = ((prefix_n[stop] - prefix_n[start] >= min_rows)
                  & ((mixed[stop] > mixed[start]) | (steps[stop - 1] > steps[start])))
         if params.max_depth is not None and depth >= params.max_depth:
             open_[:] = False
@@ -272,22 +271,22 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
         ties = np.flatnonzero(score == np.repeat(best, n_cuts))
         cut = k[ties[np.searchsorted(ties, first)]]
         leaf = ~open_
-        means = centre[start[leaf] // width] + (
-            prefix_y[stop[leaf]] - prefix_y[start[leaf]]) / n_in[leaf]
         leaf_at.append(start[leaf])
-        leaf_means.append(means)
+        leaf_end.append(stop[leaf])
         cut_at.append(cut)
         start, stop = np.concatenate([a, cut]), np.concatenate([cut, b])
         depth += 1
 
     leaf_at = np.concatenate(leaf_at)
     order = np.argsort(leaf_at)
-    leaf_at = leaf_at[order]
+    leaf_at, leaf_end = leaf_at[order], np.concatenate(leaf_end)[order]
+    means = centre[leaf_at // width] + (prefix_y[leaf_end] - prefix_y[leaf_at]) / (
+        prefix_n[leaf_end] - prefix_n[leaf_at])
     # A leaf's targets lie between its first entry and the next leaf's;
     # empty slots hold +-inf and change no bound.  A mean can round past
     # its targets' range by an ulp; keep it inside.
-    values = np.clip(np.concatenate(leaf_means)[order],
-                     np.minimum.reduceat(y_low, leaf_at), np.maximum.reduceat(y_high, leaf_at))
+    values = np.clip(means, np.minimum.reduceat(y_low, leaf_at),
+                     np.maximum.reduceat(y_high, leaf_at))
     cut_at = np.sort(np.concatenate(cut_at))
     thresholds = (x_at[cut_at - 1] + x_at[cut_at]) / 2.0
     return thresholds, values, np.bincount(leaf_at // width, minlength=len(trees))
