@@ -232,7 +232,7 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
     steps = np.zeros(size, dtype=np.int32)
     np.cumsum(y_low[1:] != y_low[:-1], out=steps[1:])
     leaf_size = params.min_samples_leaf
-    # a node of fewer rows has no cut that leaves both children leaf_size
+    # a node of fewer rows has no cut that leaves both children leaf_size rows
     min_rows = max(params.min_samples_split, 2 * leaf_size)
 
     leaf_at, leaf_end, cut_at = [], [], []
