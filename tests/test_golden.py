@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of `predbands study` files for fixed configurations.
+"""Golden outputs: sha256 of `predbands` output files for fixed configurations.
 
 A change that is meant to move output bytes updates the hash here in a
 commit of its own, and CHANGES.md records the largest numeric difference
@@ -49,10 +49,13 @@ FOREST_HOLDOUT = {
 FOREST_HOLDOUT_FLAGS = FOREST_FLAGS + ["--test-fraction", "0.3"]
 
 
-def study_hashes(tmp_path, name, flags):
-    prefix = str(tmp_path / name)
+def run_quietly(argv):
     with io.StringIO() as sink, redirect_stdout(sink):
-        assert cli_main(["study", "--emit-matrix", "--output", prefix] + flags) == 0
+        assert cli_main(argv) == 0
+
+
+def study_hashes(tmp_path, name, flags):
+    run_quietly(["study", "--emit-matrix", "--output", str(tmp_path / name)] + flags)
     return {suffix: hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
             for suffix in SUFFIXES}
 
@@ -81,3 +84,44 @@ def test_small_forest_study(tmp_path, threads):
 def test_forest_holdout_study(tmp_path, threads):
     got = study_hashes(tmp_path, "forest", FOREST_HOLDOUT_FLAGS + ["--threads", threads])
     assert got == FOREST_HOLDOUT
+
+
+# Single-file outputs of the other commands. "{data}" is the dataset that
+# `generate --seed 3` writes; "{study}" is the prefix of the holdout study above.
+COMMANDS = {
+    "generate": (
+        ["generate", "--seed", "3"],
+        "6e46a3750d4971646f34d3c2fd2508a5d6bde2ccf9e9697da783ccca63965f45"),
+    "fit_mean_band": (
+        ["fit", "{data}", "--band", "mean"],
+        "cf92bccfd402a96ed96b48092d1b491dae9e8cde0002a2df5cc0748cb54724fe"),
+    "fit_observation_band": (
+        ["fit", "{data}", "--band", "observation", "--level", "0.9"],
+        "b1b6055b54685791a2a764028a83d9e7c5918bb259c4c400ef50700efab9aa5a"),
+    "fit_forest": (
+        ["fit", "{data}", "--model", "forest"],
+        "bd72cd623211b8bb15d5ef7411c3ef21c4f5ac9e25f0a7029f15cecb9c9e4db4"),
+    "report_at_x": (
+        ["report", "{study}_matrix.csv", "--at-x", "175"],
+        "cc50496bf4652415642a2aabf9c7aa5d592acfbe88145760b606951d8086e7a2"),
+    "report_column": (
+        ["report", "{study}_coefficients.csv", "--column", "test_mse"],
+        "389686f444fd8799db1990c7270a7177b85f0629b240a874bf67e0bf837e108b"),
+}
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    data, study = str(root / "data.csv"), str(root / "holdout")
+    run_quietly(["generate", "--seed", "3", "--output", data])
+    run_quietly(["study", "--emit-matrix", "--output", study] + HOLDOUT_FLAGS)
+    return {"data": data, "study": study}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_output(tmp_path, command_inputs, name):
+    template, want = COMMANDS[name]
+    path = tmp_path / "out"
+    run_quietly([arg.format(**command_inputs) for arg in template] + ["--output", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
