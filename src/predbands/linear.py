@@ -6,7 +6,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gauss import normal_quantile
 from .base import ParamsMixin, as_float_vector, check_xy
 
 
@@ -129,8 +128,11 @@ class LinearRegression(ParamsMixin):
             raise ValueError(f"level must be in (0, 1), got {level}")
         if kind not in ("mean", "observation"):
             raise ValueError(f"kind must be 'mean' or 'observation', got {kind!r}")
+        # imported here, not at module level: no other command pays for it
+        from statistics import NormalDist
+
         xs = as_float_vector(x, "x")
-        z = normal_quantile(0.5 + level / 2.0)
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         extra = 1.0 if kind == "observation" else 0.0
         half = z * self.residual_se_ * np.sqrt(
             extra + 1.0 / self.n_ + (xs - self.x_mean_) ** 2 / self.sxx_)

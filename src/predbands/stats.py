@@ -21,13 +21,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._gauss import normal_pdf
 from .base import as_float_vector
 from .dataset import Grid
 from .linear import LinearRegression
 
 if TYPE_CHECKING:
     from .montecarlo import PredictionMatrix
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def quantile(values, p: float) -> float:
@@ -195,7 +196,8 @@ def gaussian_overlay(mean: float, sd: float, hist: Histogram,
         raise ValueError(f"points_per_bin must be >= 1, got {points_per_bin}")
     k = len(hist.counts)
     xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], k * points_per_bin + 1)
-    ys = hist.n * hist.bin_width * normal_pdf((xs - mean) / sd) / sd
+    z = (xs - mean) / sd
+    ys = hist.n * hist.bin_width * (np.exp(-0.5 * z * z) / _SQRT_2PI) / sd
     return xs, ys
 
 

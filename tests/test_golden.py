@@ -94,10 +94,10 @@ COMMANDS = {
         "6e46a3750d4971646f34d3c2fd2508a5d6bde2ccf9e9697da783ccca63965f45"),
     "fit_mean_band": (
         ["fit", "{data}", "--band", "mean"],
-        "cf92bccfd402a96ed96b48092d1b491dae9e8cde0002a2df5cc0748cb54724fe"),
+        "ce2637775ddcefb7ef69e9e2c1b33f06660852644e7e82c37c57533ab9461768"),
     "fit_observation_band": (
         ["fit", "{data}", "--band", "observation", "--level", "0.9"],
-        "b1b6055b54685791a2a764028a83d9e7c5918bb259c4c400ef50700efab9aa5a"),
+        "a3144b57742dd3ddee5a2c3a309e19879eafba982c00450f4611beeca3cbdfb8"),
     "fit_forest": (
         ["fit", "{data}", "--model", "forest"],
         "bd72cd623211b8bb15d5ef7411c3ef21c4f5ac9e25f0a7029f15cecb9c9e4db4"),
