@@ -2,11 +2,8 @@
 
 Quantiles use linear interpolation between order statistics at rank
 ``h = (n - 1) * p`` (the "type 7" convention).  Band limits are the
-classic box-plot fences::
-
-    iqr  = q3 - q1
-    low  = q1 - 1.5 * iqr
-    high = q3 + 1.5 * iqr
+classic box-plot fences, 1.5 interquartile ranges (``iqr = q3 - q1``)
+below the first quartile and above the third.
 
 For Gaussian data these fences sit at about +/-2.70 standard deviations
 (99.3% coverage), slightly narrower than the 3-sigma / 99.7% rule of
@@ -31,17 +28,32 @@ if TYPE_CHECKING:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _column_quantile(sorted_cols: np.ndarray, p: float) -> np.ndarray:
+    # The type-7 rule, applied down each column of a column-sorted array
+    # (a sorted vector is a single column).
+    n = sorted_cols.shape[0]
+    h = (n - 1) * p
+    lo = int(h)
+    if lo >= n - 1:
+        return sorted_cols[-1].copy()
+    frac = h - lo
+    return sorted_cols[lo] + frac * (sorted_cols[lo + 1] - sorted_cols[lo])
+
+
+def _fences(sorted_cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """q1, median, q3, iqr, low and high of each column of a column-sorted array."""
+    q1 = _column_quantile(sorted_cols, 0.25)
+    median = _column_quantile(sorted_cols, 0.5)
+    q3 = _column_quantile(sorted_cols, 0.75)
+    iqr = q3 - q1
+    return q1, median, q3, iqr, q1 - 1.5 * iqr, q3 + 1.5 * iqr
+
+
 def quantile(values, p: float) -> float:
     """Interpolated quantile of a nonempty sample, p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    v = np.sort(as_float_vector(values))
-    h = (len(v) - 1) * p
-    lo = int(h)
-    if lo >= len(v) - 1:
-        return float(v[-1])
-    frac = h - lo
-    return float(v[lo] + frac * (v[lo + 1] - v[lo]))
+    return float(_column_quantile(np.sort(as_float_vector(values)), p))
 
 
 def mean_sd(values) -> tuple[float, float]:
@@ -65,24 +77,7 @@ class QuartileBand:
 
 def quartile_band(values) -> QuartileBand:
     """Quartiles and fences of a sample."""
-    q1 = quantile(values, 0.25)
-    median = quantile(values, 0.5)
-    q3 = quantile(values, 0.75)
-    iqr = q3 - q1
-    return QuartileBand(q1=q1, median=median, q3=q3, iqr=iqr,
-                        low=q1 - 1.5 * iqr, high=q3 + 1.5 * iqr)
-
-
-def _column_quantile(sorted_cols: np.ndarray, p: float) -> np.ndarray:
-    # Same interpolation rule as quantile(), applied down each column of
-    # an already column-sorted matrix.
-    n = sorted_cols.shape[0]
-    h = (n - 1) * p
-    lo = int(h)
-    if lo >= n - 1:
-        return sorted_cols[-1].copy()
-    frac = h - lo
-    return sorted_cols[lo] + frac * (sorted_cols[lo + 1] - sorted_cols[lo])
+    return QuartileBand(*(float(v) for v in _fences(np.sort(as_float_vector(values)))))
 
 
 @dataclass(frozen=True)
@@ -124,13 +119,7 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
         raise ValueError(f"need at least 2 replications, got {rows.shape[0]}")
     # sd's matrix-sized temporary is freed before the sorted copy is made
     mean, sd = np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1)
-    sorted_cols = np.sort(rows, axis=0)
-    q1 = _column_quantile(sorted_cols, 0.25)
-    median = _column_quantile(sorted_cols, 0.5)
-    q3 = _column_quantile(sorted_cols, 0.75)
-    iqr = q3 - q1
-    return BandCurve(grid=matrix.grid, q1=q1, median=median, q3=q3, iqr=iqr,
-                     low=q1 - 1.5 * iqr, high=q3 + 1.5 * iqr, mean=mean, sd=sd)
+    return BandCurve(matrix.grid, *_fences(np.sort(rows, axis=0)), mean=mean, sd=sd)
 
 
 def band_slope(curve: BandCurve) -> float:

@@ -137,6 +137,7 @@ class TestBandCurve:
         for i in range(5):
             band = curve.band_at(i)
             assert band.low == band.q1 - 1.5 * band.iqr
+            assert band == quartile_band(rows[:, i])
 
     def test_requires_two_rows(self):
         grid = make_grid(0.0, 1.0, 2)
