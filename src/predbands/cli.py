@@ -73,10 +73,6 @@ def _open_out(path: str):
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=100, help="training rows per dataset")
     p.add_argument("--slope", type=float, default=1.0, help="true slope")
@@ -129,7 +125,7 @@ def cmd_fit(args) -> int:
         model = LinearRegression().fit(data.xs, data.ys)
         print(model.summary(), file=info)
         for name in ("intercept", "slope", "intercept_se", "slope_se", "residual_se"):
-            print(f"{name}: {_fmt(getattr(model, name + '_'))}", file=info)
+            print(f"{name}: {float(getattr(model, name + '_'))!r}", file=info)
         print(f"n: {model.n_}", file=info)
         if output is None:
             return 0

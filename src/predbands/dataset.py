@@ -141,8 +141,6 @@ def split_rows(xs: np.ndarray, ys: np.ndarray, test_fraction: float, seeds):
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = xs.shape[1]
-    if n < 2:
-        raise ValueError("need at least 2 rows to split")
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test > n - 1:
         raise ValueError(
