@@ -8,6 +8,7 @@ order is frozen: all x values first, then all noise values, so a given
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("intercept", "slope", "x_low", "x_high", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_low < self.x_high:
             raise ValueError(f"x_low must be < x_high, got [{self.x_low}, {self.x_high}]")
         if self.noise_sigma < 0:
@@ -111,6 +115,8 @@ def make_grid(low: float, high: float, count: int) -> Grid:
     """count equally spaced points from low to high, endpoints inclusive."""
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"grid bounds must be finite, got [{low}, {high}]")
     if not low < high:
         raise ValueError(f"low must be < high, got [{low}, {high}]")
     return Grid(np.linspace(low, high, count))

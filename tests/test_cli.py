@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("argv, field", [
+        (["study", "--noise-sigma", "nan"], "noise_sigma"),
+        (["study", "--slope", "nan"], "slope"),
+        (["study", "--noise-sigma", "inf"], "noise_sigma"),
+        (["study", "--x-max", "inf"], "x_high"),
+        (["study", "--x-min=-inf"], "x_low"),
+        (["generate", "--intercept", "inf"], "intercept"),
+        (["fit", "{data}", "--x-max", "inf"], "grid bounds"),
+    ])
+    def test_non_finite_value_is_a_one_line_error(self, capsys, tmp_path, argv, field):
+        data = tmp_path / "data.csv"
+        write_csv(data, generate_dataset(GenConfig(seed=3)))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [str(data) if arg == "{data}" else arg for arg in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv, "--output", str(out_dir / "o"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
+        assert not caught and "Warning" not in err
+        assert os.listdir(out_dir) == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
