@@ -115,8 +115,8 @@ def make_grid(low: float, high: float, count: int) -> Grid:
     """count equally spaced points from low to high, endpoints inclusive."""
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ValueError(f"grid bounds must be finite, got [{low}, {high}]")
+    if not math.isfinite(high - low):  # also rejects NaN and infinite bounds
+        raise ValueError(f"grid bounds and their span must be finite, got [{low}, {high}]")
     if not low < high:
         raise ValueError(f"low must be < high, got [{low}, {high}]")
     return Grid(np.linspace(low, high, count))

@@ -481,6 +481,7 @@ class TestUsageErrors:
         (["study", "--x-min=-inf"], "x_low"),
         (["generate", "--intercept", "inf"], "intercept"),
         (["fit", "{data}", "--x-max", "inf"], "grid bounds"),
+        (["fit", "{data}", "--x-min=-1e308", "--x-max", "1e308"], "grid bounds"),
     ])
     def test_non_finite_value_is_a_one_line_error(self, capsys, tmp_path, argv, field):
         data = tmp_path / "data.csv"
