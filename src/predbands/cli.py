@@ -116,33 +116,32 @@ def cmd_fit(args) -> int:
     output = args.output
     if args.model == "forest" and output is None:
         output = "-"  # the fitted curve is the whole point of a forest fit
-    # keep stdout clean CSV/JSON when it is the data sink
-    info = sys.stderr if output == "-" else sys.stdout
-    lo = args.x_min if args.x_min is not None else float(data.xs.min())
-    hi = args.x_max if args.x_max is not None else float(data.xs.max())
+    if output is not None:
+        lo = args.x_min if args.x_min is not None else float(data.xs.min())
+        hi = args.x_max if args.x_max is not None else float(data.xs.max())
+        grid = make_grid(lo, hi, args.grid_points)
 
     if args.model == "linear":
         model = LinearRegression().fit(data.xs, data.ys)
-        print(model.summary(), file=info)
+        report = [model.summary()]
         for name in ("intercept", "slope", "intercept_se", "slope_se", "residual_se"):
-            print(f"{name}: {float(getattr(model, name + '_'))!r}", file=info)
-        print(f"n: {model.n_}", file=info)
-        if output is None:
-            return 0
-        grid = make_grid(lo, hi, args.grid_points)
-        lower, upper = model.prediction_band(grid.points, level=args.level,
-                                             kind=args.band)
-        cols = {"x": grid.points, "predicted": model.predict(grid.points),
-                "lower": lower, "upper": upper}
+            report.append(f"{name}: {float(getattr(model, name + '_'))!r}")
+        report.append(f"n: {model.n_}")
     else:
         model = RandomForestRegressor.from_params(_forest_params(args), seed=args.seed)
         model.fit(data.xs, data.ys)
-        print(model, file=info)
-        grid = make_grid(lo, hi, args.grid_points)
+        report = [str(model)]
+    if output is not None:
         cols = {"x": grid.points, "predicted": model.predict(grid.points)}
-    with _open_out(output) as out:
-        write_table(out, list(cols), np.column_stack(list(cols.values())), args.format)
-    if output != "-":
+        if args.model == "linear":
+            cols["lower"], cols["upper"] = model.prediction_band(
+                grid.points, level=args.level, kind=args.band)
+        with _open_out(output) as out:
+            write_table(out, list(cols), np.column_stack(list(cols.values())), args.format)
+    # printed only once everything succeeded, so a failed fit prints no data;
+    # stderr keeps stdout clean CSV/JSON when it is the data sink
+    print("\n".join(report), file=sys.stderr if output == "-" else sys.stdout)
+    if output not in (None, "-"):
         print(output)
     return 0
 

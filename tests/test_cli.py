@@ -224,6 +224,15 @@ class TestFit:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flags", [["--x-max", "inf"], ["--level", "1.5"]])
+    def test_bad_grid_or_level_prints_no_report(self, capsys, data_file, tmp_path, flags):
+        code, out, err = run_cli(capsys, "fit", data_file, *flags,
+                                 "--output", str(tmp_path / "band.csv"))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert out == ""
+        assert os.listdir(tmp_path) == ["data.csv"]
+
 
 class TestStudy:
     def test_small_study_file_shapes(self, capsys, tmp_path):
