@@ -19,6 +19,14 @@ import shutil
 import sys
 from contextlib import ExitStack, contextmanager
 
+# The CLI runs numpy's BLAS on one thread unless the caller chose a count.
+# predbands' only BLAS calls are short row dots and its parallelism is
+# worker processes (--threads), which inherit this setting.  A threaded dot
+# over 100,000+ values rounds differently with the core count, and starting
+# the thread pool costs each process about 0.1 s of CPU on 2 cores.  This
+# must run before numpy loads, which the lazy package guarantees.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .dataset import Dataset, GenConfig, generate_dataset, make_grid

@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import os
@@ -507,11 +508,52 @@ class TestUsageErrors:
         assert os.listdir(out_dir) == []
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # a fresh interpreter: this one has imported multiprocessing already
+def run_fresh(args, **env_changes):
+    """Run ``python *args`` in a fresh interpreter that imports this predbands.
+
+    Each keyword sets an environment variable; ``None`` removes it.
+    """
     src = os.path.dirname(os.path.dirname(predbands.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for key, value in env_changes.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: this one has imported multiprocessing already
     probe = "import predbands.cli, sys; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert run_fresh(["-c", probe]).stdout.strip() == "False"
+
+
+def test_importing_the_package_loads_nothing_until_used():
+    probe = ("import predbands, sys; print(sorted("
+             "m for m in sys.modules if m == 'numpy' or m.startswith('predbands.')))")
+    assert run_fresh(["-c", probe]).stdout.strip() == "[]"
+    star = {}
+    exec("from predbands import *", star)
+    assert set(star) - {"__builtins__"} == set(predbands.__all__)
+    for name in predbands.__all__:
+        value = getattr(predbands, name)
+        assert value.__module__.startswith("predbands.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+        assert star[name] is value
+    assert set(predbands.__all__) <= set(dir(predbands))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        predbands.no_such_name
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product this long over its threads, and the
+    # split changes the rounding; the CLI runs one thread unless told otherwise
+    argv = ["-m", "predbands.cli", "study", "--samples", "200000", "--replications", "2"]
+    outputs = {}
+    for label, value in (("unset", None), ("one", "1")):
+        run_fresh([*argv, "--output", str(tmp_path / label)], OPENBLAS_NUM_THREADS=value)
+        outputs[label] = [p.read_bytes() for p in sorted(tmp_path.glob(f"{label}_*"))]
+    assert len(outputs["unset"]) == 2 and outputs["unset"] == outputs["one"]
+    probe = "import os, predbands.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_fresh(["-c", probe], OPENBLAS_NUM_THREADS="3").stdout.strip() == "3"
