@@ -40,9 +40,7 @@ __all__ = sorted(_SOURCE)
 def __getattr__(name):
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
 
 
 def __dir__():
