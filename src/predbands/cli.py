@@ -124,11 +124,6 @@ def cmd_fit(args) -> int:
     output = args.output
     if args.model == "forest" and output is None:
         output = "-"  # the fitted curve is the whole point of a forest fit
-    if output is not None:
-        lo = args.x_min if args.x_min is not None else float(data.xs.min())
-        hi = args.x_max if args.x_max is not None else float(data.xs.max())
-        grid = make_grid(lo, hi, args.grid_points)
-
     if args.model == "linear":
         model = LinearRegression().fit(data.xs, data.ys)
         report = [model.summary()]
@@ -140,6 +135,9 @@ def cmd_fit(args) -> int:
         model.fit(data.xs, data.ys)
         report = [str(model)]
     if output is not None:
+        lo = args.x_min if args.x_min is not None else float(data.xs.min())
+        hi = args.x_max if args.x_max is not None else float(data.xs.max())
+        grid = make_grid(lo, hi, args.grid_points)
         cols = {"x": grid.points, "predicted": model.predict(grid.points)}
         if args.model == "linear":
             cols["lower"], cols["upper"] = model.prediction_band(
