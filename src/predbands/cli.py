@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 from contextlib import ExitStack, contextmanager
@@ -38,6 +39,11 @@ from .table import read_table, write_table
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e5" as an option: its own pattern has no exponent
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors; the documented contract is 1.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -40,6 +40,8 @@ class GenConfig:
         for name in ("intercept", "slope", "x_low", "x_high", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.x_high - self.x_low):
+            raise ValueError(f"x_high - x_low must be finite, got [{self.x_low}, {self.x_high}]")
         if not self.x_low < self.x_high:
             raise ValueError(f"x_low must be < x_high, got [{self.x_low}, {self.x_high}]")
         if self.noise_sigma < 0:

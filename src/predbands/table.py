@@ -5,15 +5,25 @@ comma-separated doubles.  Numbers are written with ``repr``, the
 shortest decimal that parses back to the same double, so a table reads
 back bit for bit; nan is written ``nan``.  The JSON form maps each name
 to its column, with nan written as ``null``.
+
+A CSV table of 10,000 values or more writes each plain row (every value
+zero, or finite with magnitude in [1e-4, 1e16)) with orjson, whose
+shortest digits are ``repr``'s exact text there, at about a tenth of
+the cost.  Other rows keep ``repr``, which writes ``nan``, ``inf`` and
+exponents (``1e+16``, ``1e-05``) where orjson writes none of them.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import nullcontext
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
+
+# Below this many values, repr costs less than importing orjson (about
+# 3.7 ms of CPU, as it loads uuid and zoneinfo).
+_ORJSON_MIN_VALUES = 10_000
 
 
 def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
@@ -28,8 +38,15 @@ def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
         out.write("\n")
         return
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(map(repr, row.tolist())) + "\n")
+    plain = repeat(False)
+    if rows.size >= _ORJSON_MIN_VALUES:
+        import orjson
+        plain = ((rows == 0) | (rows >= 1e-4) & (rows < 1e16)
+                 | (rows <= -1e-4) & (rows > -1e16)).all(axis=1)
+    for row, fast in zip(rows, plain):
+        values = row.tolist()
+        line = orjson.dumps(values)[1:-1].decode() if fast else ",".join(map(repr, values))
+        out.write(line + "\n")
 
 
 def read_table(source) -> tuple[list[str], np.ndarray]:

@@ -63,6 +63,11 @@ class TestGenerate:
         data = Dataset.from_csv(str(path))
         assert np.max(np.abs(data.ys - (data.xs - 100.0))) == 0.0
 
+    def test_negative_value_in_exponent_form(self, capsys):
+        code, spaced, _ = run_cli(capsys, "generate", "--intercept", "-1e5", "--output", "-")
+        assert code == 0
+        assert spaced == run_cli(capsys, "generate", "--intercept=-1e5", "--output", "-")[1]
+
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "generate", "--seed", "4", "--output", str(p1))
@@ -492,6 +497,7 @@ class TestUsageErrors:
         (["generate", "--intercept", "inf"], "intercept"),
         (["fit", "{data}", "--x-max", "inf"], "grid bounds"),
         (["fit", "{data}", "--x-min=-1e308", "--x-max", "1e308"], "grid bounds"),
+        (["generate", "--x-min=-1e308", "--x-max", "1e308"], "x_high - x_low"),
     ])
     def test_non_finite_value_is_a_one_line_error(self, capsys, tmp_path, argv, field):
         data = tmp_path / "data.csv"
@@ -527,6 +533,15 @@ def test_importing_the_cli_loads_no_process_pool():
     # a fresh interpreter: this one has imported multiprocessing already
     probe = "import predbands.cli, sys; print('multiprocessing' in sys.modules)"
     assert run_fresh(["-c", probe]).stdout.strip() == "False"
+
+
+def test_small_outputs_never_load_orjson(tmp_path):
+    prefix = str(tmp_path / "s")
+    probe = ("import sys; from predbands.cli import main; "
+             f"assert main(['study', '--output', {prefix!r}]) == 0; "
+             f"assert main(['report', {prefix + '_coefficients.csv'!r}]) == 0; "
+             "print('orjson' in sys.modules)")
+    assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "False"
 
 
 def test_importing_the_package_loads_nothing_until_used():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from predbands import forest
+from predbands import forest, table
 from predbands.dataset import GenConfig, generate_dataset, make_grid
 from predbands.forest import ForestParams, RandomForestRegressor
 from predbands.montecarlo import StudyConfig, _replicate
@@ -227,15 +227,26 @@ def tables(draw):
     return rows
 
 
+def repr_lines(rows):
+    return [",".join(map(repr, row)) for row in rows.tolist()]
+
+
 @PROPERTY
 @given(tables())
 @example(np.array([EDGE_DOUBLES]))
 @example(np.array(EDGE_DOUBLES)[:, None])
 @example(np.array([[np.nan, np.nan, 0.5]] * 3))
+# a plain row at the bounds of orjson's range, an exponent row and a nan row
+@example(np.array([[0.0001, -9999999999999998.0, -0.0, 1 / 3],
+                   [1e16, 9.999999999999999e-05, 0.5, 1.0],
+                   [0.25, np.nan, 2.0, -7.5]]))
 def test_table_round_trip_is_bit_exact(rows):
     header = [f"c{j}" for j in range(rows.shape[1])]
     csv, doc = io.StringIO(), io.StringIO()
-    write_table(csv, header, rows)
+    # with no size threshold, even these small tables write plain rows with orjson
+    with mock.patch.object(table, "_ORJSON_MIN_VALUES", 0):
+        write_table(csv, header, rows)
+    assert csv.getvalue().splitlines() == [",".join(header), *repr_lines(rows)]
     write_table(doc, header, rows, "json")
     names, back = read_table(io.StringIO(csv.getvalue()))
     assert names == header
@@ -245,3 +256,11 @@ def test_table_round_trip_is_bit_exact(rows):
     for got in (back, from_json):
         assert got.shape == rows.shape
         assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+
+
+def test_table_at_the_size_threshold_is_repr_text():
+    rows = np.random.default_rng(8).normal(size=(200, 1001))
+    assert rows.size >= table._ORJSON_MIN_VALUES
+    csv = io.StringIO()
+    write_table(csv, [f"c{j}" for j in range(1001)], rows)
+    assert csv.getvalue().splitlines()[1:] == repr_lines(rows)
