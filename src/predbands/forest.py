@@ -53,10 +53,9 @@ class ForestParams:
 
 
 # Rows drawn by the trees grown in one pass, whichever datasets they
-# belong to, and (tree, point) pairs predicted in one pass.  Growing
-# takes about 80 bytes per drawn row, so a pass stays near 1.6 MB however
-# large the block; passes never change a result, as each tree's
-# arithmetic is its own.
+# belong to.  Growing takes about 80 bytes per drawn row, so a pass stays
+# near 1.6 MB however large the block; passes never change a result, as
+# each tree's arithmetic is its own.
 _BATCH_ROWS = 20_000
 
 
@@ -98,27 +97,22 @@ class ForestFits(NamedTuple):
         row of points per forest.
         """
         forests, n_trees = self.n_leaves.shape
-        k = points.shape[-1]
-        out = np.empty((forests, k))
+        out = np.empty((forests, points.shape[-1]))
         leaf_ends = np.concatenate([[0], np.cumsum(self.n_leaves.ravel())])
-        per_pass = max(1, _BATCH_ROWS // (n_trees * max(k, 1)))
-        for first in range(0, forests, per_pass):
-            last = min(first + per_pass, forests)
-            t0, t1 = first * n_trees, last * n_trees
-            lo, hi = leaf_ends[t0], leaf_ends[t1]
-            cuts = self.thresholds[lo - t0:hi - t1]
-            # Rank cuts and points among the distinct cuts, then offset each
-            # tree's ranks into its own band: one sorted search then finds,
-            # for every (tree, point), the cuts below the point in earlier
-            # trees and in its own.  Adding the tree index gives a leaf index.
+        tree = np.arange(n_trees)
+        for r in range(forests):
+            lo, hi = leaf_ends[r * n_trees], leaf_ends[(r + 1) * n_trees]
+            cuts = self.thresholds[lo - r * n_trees:hi - (r + 1) * n_trees]
+            # Rank cuts and points among the forest's distinct cuts, then offset
+            # each tree's ranks into its own band: one sorted search then finds,
+            # for every (tree, point), the cuts below the point in earlier trees
+            # and in its own.  Adding the tree index gives a leaf index.
             levels = np.unique(cuts)
-            band = (len(levels) + 1) * np.arange(t1 - t0)
-            keys = np.repeat(band, self.n_leaves.ravel()[t0:t1] - 1) + np.searchsorted(levels, cuts)
-            ranks = np.searchsorted(levels, points if points.ndim == 1 else points[first:last])
-            queries = band.reshape(last - first, n_trees, 1) + ranks.reshape(-1, 1, k)
-            leaf = np.searchsorted(keys, queries)
-            leaf += np.arange(t1 - t0).reshape(last - first, n_trees, 1)
-            out[first:last] = self.values[lo:hi][leaf].sum(axis=1) / n_trees
+            band = (len(levels) + 1) * tree
+            keys = np.repeat(band, self.n_leaves[r] - 1) + np.searchsorted(levels, cuts)
+            ranks = np.searchsorted(levels, points if points.ndim == 1 else points[r])
+            leaf = np.searchsorted(keys, band[:, None] + ranks) + tree[:, None]
+            out[r] = self.values[lo:hi][leaf].sum(axis=0) / n_trees
         return out
 
 
