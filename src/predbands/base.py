@@ -1,4 +1,4 @@
-"""Estimator plumbing: parameter introspection and input validation."""
+"""Estimator plumbing: parameter introspection, fitted check, input validation."""
 
 from __future__ import annotations
 
@@ -11,8 +11,11 @@ class ParamsMixin:
     """scikit-learn style ``get_params`` / ``set_params``.
 
     Constructor arguments must be stored on attributes of the same name,
-    which is all the introspection below relies on.
+    which is all the introspection below relies on.  Each estimator
+    names in ``_fitted_attr`` an attribute that only ``fit`` sets.
     """
+
+    _fitted_attr: str
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -32,6 +35,10 @@ class ParamsMixin:
                 )
             setattr(self, name, value)
         return self
+
+    def _check_fitted(self):
+        if not hasattr(self, self._fitted_attr):
+            raise ValueError(f"this {type(self).__name__} instance is not fitted yet")
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

@@ -299,6 +299,8 @@ class DecisionTreeRegressor(ParamsMixin):
         (``len(leaf_values_) == len(thresholds_) + 1``).
     """
 
+    _fitted_attr = "leaf_values_"
+
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1,
                  min_samples_split: int = 2):
         self.max_depth = max_depth
@@ -319,10 +321,6 @@ class DecisionTreeRegressor(ParamsMixin):
         self.n_leaves_ = len(values)
         return self
 
-    def _check_fitted(self):
-        if not hasattr(self, "leaf_values_"):
-            raise ValueError("this DecisionTreeRegressor instance is not fitted yet")
-
     def predict(self, x) -> np.ndarray:
         self._check_fitted()
         xs = as_float_vector(x, "x")
@@ -338,6 +336,8 @@ class RandomForestRegressor(ParamsMixin):
     which makes fits reproducible and order-independent.  Defaults and
     validation come from :class:`ForestParams`.
     """
+
+    _fitted_attr = "trees_"
 
     def __init__(self, n_trees: int = ForestParams.n_trees,
                  max_depth: int | None = ForestParams.max_depth,
@@ -364,10 +364,6 @@ class RandomForestRegressor(ParamsMixin):
                                   params.min_samples_split)._set_fitted(thresholds, values)
             for thresholds, values in fits.trees(0)]
         return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "trees_"):
-            raise ValueError("this RandomForestRegressor instance is not fitted yet")
 
     def predict(self, x) -> np.ndarray:
         self._check_fitted()

@@ -86,6 +86,8 @@ class LinearRegression(ParamsMixin):
         ``sum((x - x_mean)**2)``.
     """
 
+    _fitted_attr = "slope_"
+
     def __init__(self):
         pass
 
@@ -102,10 +104,6 @@ class LinearRegression(ParamsMixin):
         self.x_mean_ = line.x_mean
         self.sxx_ = sxx
         return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "slope_"):
-            raise ValueError("this LinearRegression instance is not fitted yet")
 
     def predict(self, x) -> np.ndarray:
         self._check_fitted()
