@@ -41,8 +41,10 @@ from .table import read_table, write_table
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-1e5" as an option: its own pattern has no exponent
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse reads "-1e5" and "-inf" as options: its own pattern has
+        # no exponent and none of the words that float() reads
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     # argparse exits 2 on usage errors; the documented contract is 1.
     def error(self, message):
@@ -188,12 +190,14 @@ def cmd_report(args) -> int:
         values = PredictionMatrix.from_csv(args.samples).column_at(args.at_x)
     else:
         names, rows = read_table(args.samples)
-        try:
-            first = [float(cell) for cell in names]
-        except ValueError:
-            pass
-        else:  # a headerless numeric file: positional names "0", "1", ...
-            names, rows = [str(i) for i in range(len(names))], np.vstack([first, rows])
+        # Only a one-column file may lack a header, as its column is then
+        # named "0"; a numeric header of several cells is a matrix's grid.
+        if len(names) == 1:
+            try:
+                rows = np.vstack([[float(names[0])], rows])
+                names = ["0"]
+            except ValueError:
+                pass
         name = args.column if args.column is not None else names[0]
         if name not in names:
             raise ValueError(

@@ -410,6 +410,17 @@ class TestReport:
             doc = json.loads(out)
             assert doc["n"] == 40
 
+    def test_matrix_header_is_the_grid(self, capsys, study_files):
+        code, out, _ = run_cli(capsys, "report", study_files + "_matrix.csv")
+        assert code == 0
+        assert json.loads(out)["n"] == 40
+
+    def test_matrix_column_by_grid_name(self, capsys, study_files):
+        docs = [run_cli(capsys, "report", study_files + "_matrix.csv", *args)
+                for args in (["--column", "150.0"], ["--at-x", "150"])]
+        assert docs[0][0] == 0
+        assert docs[0] == docs[1]
+
     def test_off_grid_x_is_rejected(self, capsys, study_files):
         code, _, err = run_cli(capsys, "report", study_files + "_matrix.csv",
                                "--at-x", "151.7")
@@ -498,6 +509,8 @@ class TestUsageErrors:
         (["fit", "{data}", "--x-max", "inf"], "grid bounds"),
         (["fit", "{data}", "--x-min=-1e308", "--x-max", "1e308"], "grid bounds"),
         (["generate", "--x-min=-1e308", "--x-max", "1e308"], "x_high - x_low"),
+        (["generate", "--x-min", "-inf"], "x_low"),
+        (["generate", "--x-min", "-NaN"], "x_low"),
     ])
     def test_non_finite_value_is_a_one_line_error(self, capsys, tmp_path, argv, field):
         data = tmp_path / "data.csv"
