@@ -41,7 +41,7 @@ class StudyConfig:
     """Full description of one study; gen.seed acts as the master seed."""
 
     gen: GenConfig = field(default_factory=GenConfig)
-    grid: Grid = field(default_factory=lambda: make_grid(150.0, 200.0, 101))
+    grid: Grid | None = None  # None: 101 points over gen's [x_low, x_high]
     replications: int = 1000
     model: str = "linear"
     forest: ForestParams = field(default_factory=ForestParams)
@@ -54,6 +54,8 @@ class StudyConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.grid is None:
+            object.__setattr__(self, "grid", make_grid(self.gen.x_low, self.gen.x_high, 101))
         span = self.gen.x_high - self.gen.x_low
         if (self.grid.low < self.gen.x_low - 1e-9 * span
                 or self.grid.high > self.gen.x_high + 1e-9 * span):

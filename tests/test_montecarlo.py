@@ -36,6 +36,11 @@ class TestStudyConfig:
         assert len(config.grid.points) == 101
         assert config.test_fraction is None
 
+    def test_default_grid_spans_the_generator_range(self):
+        config = StudyConfig(gen=GenConfig(x_low=0.0, x_high=10.0))
+        np.testing.assert_array_equal(config.grid.points, np.linspace(0.0, 10.0, 101))
+        assert StudyConfig().grid.points.tolist() == make_grid(150.0, 200.0, 101).points.tolist()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(replications=1)
