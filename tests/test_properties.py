@@ -264,3 +264,80 @@ def test_table_at_the_size_threshold_is_repr_text():
     csv = io.StringIO()
     write_table(csv, [f"c{j}" for j in range(1001)], rows)
     assert csv.getvalue().splitlines()[1:] == repr_lines(rows)
+
+
+# cells that orjson must refuse, or read as a non-float, so that loadtxt reads
+# the table: ints (orjson reads -0 as 0), non-finite and overflowing numbers,
+# JSON values that are not numbers, and spellings that JSON does not allow
+LOADTXT_CELLS = ["-0", "7", "9007199254740993", "-18446744073709551617", "nan", "inf",
+                 "-inf", "1e999", "true", "null", '"1.5"', "[2]", "01", "1.", ".5", ""]
+
+
+@st.composite
+def table_texts(draw):
+    width = draw(st.integers(1, 4))
+    # decimals of up to 26 digits in exponent form, such as 1e5 and -12.5E-3
+    decimal = st.builds("{}{}{}{}".format, st.integers(-10**25, 10**25),
+                        st.just("") | st.integers(0, 10**25).map(".{}".format),
+                        st.sampled_from(["e", "E", "e+", "e-", "E-"]), st.integers(0, 400))
+    plain = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+             | st.sampled_from(EDGE_DOUBLES).map(repr) | decimal)
+    rows = draw(st.lists(st.lists(plain, min_size=width, max_size=width), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(LOADTXT_CELLS))
+    if draw(st.integers(0, 9)) == 0:  # a row of the wrong width
+        draw(st.sampled_from(rows)).append(draw(plain))
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [",".join(draw(pad) + cell + draw(pad) for cell in row)
+             + draw(st.sampled_from(["\n", "\r\n"])) for row in rows]
+    return ",".join(f"c{j}" for j in range(width)) + "\n" + "".join(lines)
+
+
+@PROPERTY
+@given(table_texts())
+@example("c0,c1\n0.1,-2.5e-320\n9999999999999998.0,1e+16\n")  # repr of doubles
+@example("c0\n-0\n")
+@example("c0\n9007199254740993\n")
+@example("c0,c1\n1e5,2E-3\n")
+@example("c0,c1\n 1.5\t,\t-0.25 \r\n")
+@example("c0\n1.5\nnan\n")
+@example("c0\ninf\n")
+@example("c0\n1e999\n")
+@example("c0\ntrue\n")
+@example("c0\nnull\n")
+@example('c0\n"1.5"\n')
+@example("c0\n[2]\n")
+@example("c0\n01\n")
+@example("c0\n1.\n")
+@example("c0\n.5\n")
+@example("c0,c1\n1.5,\n")
+@example("c0,c1\n1,2],[3,4\n")
+@example("c0,c1\n1.0,2.0],[3.0,4.0\n")
+def test_orjson_reader_matches_loadtxt(text):
+    got = []
+    for threshold in (0, 10**9):  # orjson for any table, then loadtxt for every table
+        with mock.patch.object(table, "_ORJSON_MIN_VALUES", threshold):
+            try:
+                got.append(read_table(io.StringIO(text)))
+            except ValueError as exc:
+                got.append(str(exc))
+    fast, oracle = got
+    if isinstance(oracle, str):
+        assert fast == oracle
+    else:
+        assert fast[0] == oracle[0] and fast[1].shape == oracle[1].shape
+        assert np.array_equal(fast[1].view(np.uint64), oracle[1].view(np.uint64))
+
+
+def test_tables_from_the_size_threshold_are_read_by_orjson(monkeypatch):
+    rows = np.random.default_rng(9).normal(size=(10, 1000))
+    assert rows.size == table._ORJSON_MIN_VALUES
+    csv = io.StringIO()
+    write_table(csv, [f"c{j}" for j in range(1000)], rows)
+    loadtxt, calls = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    for text, n_rows in ((csv.getvalue(), 10), (csv.getvalue().rsplit("\n", 2)[0], 9)):
+        back = read_table(io.StringIO(text))[1]
+        assert np.array_equal(back.view(np.uint64), rows[:n_rows].view(np.uint64))
+    assert calls == [1]  # only the table of 9,000 values
