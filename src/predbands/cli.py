@@ -282,7 +282,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader left early (`predbands ... | head`), which is no
+        # failure; devnull takes what stdout still buffers at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (SingularFitError, ReplicationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

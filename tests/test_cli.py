@@ -585,3 +585,21 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert len(outputs["unset"]) == 2 and outputs["unset"] == outputs["one"]
     probe = "import os, predbands.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert run_fresh(["-c", probe], OPENBLAS_NUM_THREADS="3").stdout.strip() == "3"
+
+
+@pytest.mark.parametrize("argv", [["report", "{matrix}"], ["generate", "--samples", "100000"]])
+def test_a_closed_stdout_is_no_failure(tmp_path, argv):
+    # `predbands ... | head -1`, with head gone before the command writes
+    assert main(["study", "--replications", "20", "--emit-matrix",
+                 "--output", str(tmp_path / "s")]) == 0
+    argv = [arg.format(matrix=tmp_path / "s_matrix.csv") for arg in argv]
+    src = os.path.dirname(os.path.dirname(predbands.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "predbands.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
