@@ -18,9 +18,10 @@ __version__ = "0.1.0"
 _SOURCE = {
     name: module
     for module, names in {
+        "base": ("ForestParams",),
         "dataset": ("Dataset", "GenConfig", "Grid", "generate_dataset", "make_grid",
                     "split_train_test"),
-        "forest": ("DecisionTreeRegressor", "ForestParams", "RandomForestRegressor"),
+        "forest": ("DecisionTreeRegressor", "RandomForestRegressor"),
         "linear": ("LinearRegression", "SingularFitError"),
         "metrics": ("mse",),
         "montecarlo": ("CoefficientSamples", "PredictionMatrix", "ReplicationError",

@@ -1,8 +1,10 @@
-"""Estimator plumbing: parameter introspection, fitted check, input validation."""
+"""Estimator plumbing: parameter introspection, fitted check, input validation,
+forest hyperparameters."""
 
 from __future__ import annotations
 
 import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,3 +73,24 @@ def check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     if len(xs) != len(ys):
         raise ValueError(f"x and y lengths differ: {len(xs)} != {len(ys)}")
     return xs, ys
+
+
+# Here and not in forest.py, so a study config holds it without loading the
+# forest code.
+@dataclass(frozen=True)
+class ForestParams:
+    """Forest hyperparameters (seed excluded; it is scheduled separately)."""
+
+    n_trees: int = 100
+    max_depth: int | None = None
+    min_samples_leaf: int = 5
+    min_samples_split: int = 10
+    bootstrap: bool = True
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0 or None, got {self.max_depth}")
+        if self.min_samples_leaf < 1 or self.min_samples_split < 1:
+            raise ValueError("min_samples_leaf and min_samples_split must be positive")

@@ -30,8 +30,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
+from .base import ForestParams
 from .dataset import Dataset, GenConfig, generate_dataset, make_grid
-from .forest import ForestParams, RandomForestRegressor
 from .linear import LinearRegression, SingularFitError
 from .montecarlo import PredictionMatrix, ReplicationError, StudyConfig, WorkerError, run_study
 from .stats import band_curve, distribution_report
@@ -139,6 +139,7 @@ def cmd_fit(args) -> int:
             report.append(f"{name}: {float(getattr(model, name + '_'))!r}")
         report.append(f"n: {model.n_}")
     else:
+        from .forest import RandomForestRegressor
         model = RandomForestRegressor.from_params(_forest_params(args), seed=args.seed)
         model.fit(data.xs, data.ys)
         report = [str(model)]

@@ -24,32 +24,13 @@ row; a single tree is a forest of one tree grown on its sample as given.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_vector, check_xy
+from .base import ForestParams, ParamsMixin, as_float_vector, check_xy
 from .rng import Streams, stream_seeds
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    """Forest hyperparameters (seed excluded; it is scheduled separately)."""
-
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 5
-    min_samples_split: int = 10
-    bootstrap: bool = True
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0 or None, got {self.max_depth}")
-        if self.min_samples_leaf < 1 or self.min_samples_split < 1:
-            raise ValueError("min_samples_leaf and min_samples_split must be positive")
 
 
 # Rows drawn by the trees grown in one pass, whichever datasets they

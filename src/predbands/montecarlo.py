@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .base import ForestParams
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
-from .forest import ForestParams, fit_forests, forests_per_block
 from .linear import fit_lines
 from .metrics import row_mse
 from .rng import stream_seeds
@@ -181,6 +181,7 @@ def _replicate(config: StudyConfig, reps: range):
             fits = fit_lines(xs, ys)
             slopes, intercepts = fits.slope, fits.intercept
         else:
+            from .forest import fit_forests
             model_seeds = stream_seeds(master, range(reps.start + big_r, reps.stop + big_r))
             fits = fit_forests(xs, ys, config.forest, model_seeds)
             slopes = intercepts = np.full(len(reps), np.nan)
@@ -204,6 +205,8 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
     big_r = config.replications
     size = max(1, min(BLOCK, BLOCK_VALUES // config.gen.n_samples))
     if config.model == "forest":
+        # imported here, so a linear study never loads the forest code
+        from .forest import forests_per_block
         size = min(size, forests_per_block(config.gen.n_samples, config.forest))
     if n_jobs > 1:
         size = min(size, max(1, big_r // (n_jobs * 8)))

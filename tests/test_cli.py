@@ -587,6 +587,16 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert run_fresh(["-c", probe], OPENBLAS_NUM_THREADS="3").stdout.strip() == "3"
 
 
+def test_linear_study_and_report_never_load_the_forest(tmp_path):
+    prefix = str(tmp_path / "s")
+    probe = ("import sys; from predbands.cli import main; "
+             f"assert main(['study', '--emit-matrix', '--output', {prefix!r}]) == 0; "
+             f"assert main(['report', {prefix + '_coefficients.csv'!r}]) == 0; "
+             f"assert main(['report', {prefix + '_matrix.csv'!r}, '--at-x', '175']) == 0; "
+             "print('predbands.forest' in sys.modules)")
+    assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("argv", [["report", "{matrix}"], ["generate", "--samples", "100000"]])
 def test_a_closed_stdout_is_no_failure(tmp_path, argv):
     # `predbands ... | head -1`, with head gone before the command writes
