@@ -1,50 +1,22 @@
-"""Estimator plumbing: parameter introspection, fitted check, input validation,
-forest hyperparameters."""
+"""Estimator plumbing: fitted check, input validation, forest hyperparameters.
+
+Estimators are ``@dataclass(eq=False)`` classes whose fields are their
+parameters; only ``fit`` sets the attributes with a trailing underscore.
+"""
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class ParamsMixin:
-    """scikit-learn style ``get_params`` / ``set_params``.
-
-    Constructor arguments must be stored on attributes of the same name,
-    which is all the introspection below relies on.  Each estimator
-    names in ``_fitted_attr`` an attribute that only ``fit`` sets.
-    """
-
-    _fitted_attr: str
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}"
-                )
-            setattr(self, name, value)
-        return self
-
-    def _check_fitted(self):
-        if not hasattr(self, self._fitted_attr):
-            raise ValueError(f"this {type(self).__name__} instance is not fitted yet")
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
+def check_fitted(model, attr: str):
+    """``model``'s attribute ``attr``, which only ``fit`` sets; ValueError before that."""
+    try:
+        return getattr(model, attr)
+    except AttributeError:
+        raise ValueError(f"this {type(model).__name__} instance is not fitted yet") from None
 
 
 def as_float_vector(values, name: str = "values", min_len: int = 1) -> np.ndarray:

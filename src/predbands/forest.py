@@ -24,12 +24,12 @@ row; a single tree is a forest of one tree grown on its sample as given.
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import ForestParams, ParamsMixin, as_float_vector, check_xy
+from .base import ForestParams, as_float_vector, check_fitted, check_xy
 from .rng import Streams, stream_seeds
 
 
@@ -267,11 +267,12 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
     return thresholds, values, np.bincount(leaf_at // width, minlength=len(trees))
 
 
-class DecisionTreeRegressor(ParamsMixin):
-    """CART-style regression tree on a single feature.
+@dataclass(eq=False)
+class DecisionTreeRegressor:
+    """CART-style regression tree on one feature, kept in ``fits_`` as a one-tree forest.
 
-    Attributes (after ``fit``)
-    --------------------------
+    Attributes (after ``fit``, read-only views of ``fits_``)
+    --------------------------------------------------------
     thresholds_ : ndarray
         Sorted cut points; point x is routed to leaf
         ``searchsorted(thresholds_, x, side="left")``.
@@ -280,57 +281,50 @@ class DecisionTreeRegressor(ParamsMixin):
         (``len(leaf_values_) == len(thresholds_) + 1``).
     """
 
-    _fitted_attr = "leaf_values_"
-
-    def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1,
-                 min_samples_split: int = 2):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
+    max_depth: int | None = None
+    min_samples_leaf: int = 1
+    min_samples_split: int = 2
 
     def fit(self, x, y) -> "DecisionTreeRegressor":
         xs, ys = check_xy(x, y)
-        params = ForestParams(n_trees=1, max_depth=self.max_depth,
-                              min_samples_leaf=self.min_samples_leaf,
-                              min_samples_split=self.min_samples_split, bootstrap=False)
-        [(thresholds, values)] = fit_forests(xs[None], ys[None], params, [0]).trees(0)
-        return self._set_fitted(thresholds, values)
-
-    def _set_fitted(self, thresholds, values) -> "DecisionTreeRegressor":
-        self.thresholds_ = thresholds
-        self.leaf_values_ = values
-        self.n_leaves_ = len(values)
+        params = ForestParams(n_trees=1, bootstrap=False, **asdict(self))
+        self.fits_ = fit_forests(xs[None], ys[None], params, [0])
         return self
 
+    @property
+    def thresholds_(self) -> np.ndarray:
+        return check_fitted(self, "fits_").thresholds
+
+    @property
+    def leaf_values_(self) -> np.ndarray:
+        return check_fitted(self, "fits_").values
+
+    @property
+    def n_leaves_(self) -> int:
+        return len(self.leaf_values_)
+
     def predict(self, x) -> np.ndarray:
-        self._check_fitted()
-        xs = as_float_vector(x, "x")
-        return self.leaf_values_[np.searchsorted(self.thresholds_, xs, side="left")]
+        return check_fitted(self, "fits_").predict(as_float_vector(x, "x"))[0]
 
 
-class RandomForestRegressor(ParamsMixin):
+@dataclass(eq=False)
+class RandomForestRegressor:
     """Bagging ensemble of regression trees; prediction is the tree mean.
 
     With one feature there is nothing to subsample per split, so the
     ensemble randomness comes entirely from bootstrap resampling.  Tree t
     draws its bootstrap sample from the stream ``derive_seed(seed, t)``,
     which makes fits reproducible and order-independent.  Defaults and
-    validation come from :class:`ForestParams`.
+    validation come from :class:`ForestParams`.  ``fit`` keeps the fitted
+    forest in ``fits_``; ``trees_`` lists read-only one-tree views of it.
     """
 
-    _fitted_attr = "trees_"
-
-    def __init__(self, n_trees: int = ForestParams.n_trees,
-                 max_depth: int | None = ForestParams.max_depth,
-                 min_samples_leaf: int = ForestParams.min_samples_leaf,
-                 min_samples_split: int = ForestParams.min_samples_split,
-                 bootstrap: bool = ForestParams.bootstrap, seed: int = 0):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
-        self.bootstrap = bootstrap
-        self.seed = seed
+    n_trees: int = ForestParams.n_trees
+    max_depth: int | None = ForestParams.max_depth
+    min_samples_leaf: int = ForestParams.min_samples_leaf
+    min_samples_split: int = ForestParams.min_samples_split
+    bootstrap: bool = ForestParams.bootstrap
+    seed: int = 0
 
     @classmethod
     def from_params(cls, params: ForestParams, seed: int) -> "RandomForestRegressor":
@@ -339,18 +333,18 @@ class RandomForestRegressor(ParamsMixin):
     def fit(self, x, y) -> "RandomForestRegressor":
         params = ForestParams(**{f.name: getattr(self, f.name) for f in fields(ForestParams)})
         xs, ys = check_xy(x, y)
-        fits = fit_forests(xs[None], ys[None], params, [self.seed])
-        self.trees_ = [
-            DecisionTreeRegressor(params.max_depth, params.min_samples_leaf,
-                                  params.min_samples_split)._set_fitted(thresholds, values)
-            for thresholds, values in fits.trees(0)]
+        self.fits_ = fit_forests(xs[None], ys[None], params, [self.seed])
         return self
 
+    @property
+    def trees_(self) -> list[DecisionTreeRegressor]:
+        trees = []
+        for thresholds, values in check_fitted(self, "fits_").trees(0):
+            tree = DecisionTreeRegressor(self.max_depth, self.min_samples_leaf,
+                                         self.min_samples_split)
+            tree.fits_ = ForestFits(thresholds, values, np.array([[len(values)]]))
+            trees.append(tree)
+        return trees
+
     def predict(self, x) -> np.ndarray:
-        self._check_fitted()
-        xs = as_float_vector(x, "x")
-        trees = self.trees_
-        fits = ForestFits(np.concatenate([tree.thresholds_ for tree in trees]),
-                          np.concatenate([tree.leaf_values_ for tree in trees]),
-                          np.array([[tree.n_leaves_ for tree in trees]]))
-        return fits.predict(xs)[0]
+        return check_fitted(self, "fits_").predict(as_float_vector(x, "x"))[0]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import ParamsMixin, as_float_vector, check_xy
+from .base import as_float_vector, check_fitted, check_xy
 
 
 class SingularFitError(ValueError):
@@ -62,7 +63,8 @@ def fit_lines(xs: np.ndarray, ys: np.ndarray) -> LineFits:
     return LineFits(slope, intercept, s, x_mean, sxx)
 
 
-class LinearRegression(ParamsMixin):
+@dataclass(eq=False)
+class LinearRegression:
     """Ordinary least squares fit of ``y = intercept + slope * x``.
 
     Beyond the coefficients, the fit records the classical inference
@@ -86,11 +88,6 @@ class LinearRegression(ParamsMixin):
         ``sum((x - x_mean)**2)``.
     """
 
-    _fitted_attr = "slope_"
-
-    def __init__(self):
-        pass
-
     def fit(self, x, y) -> "LinearRegression":
         xs, ys = check_xy(x, y)
         line = LineFits(*(float(v[0]) for v in fit_lines(xs[None], ys[None])))
@@ -106,7 +103,7 @@ class LinearRegression(ParamsMixin):
         return self
 
     def predict(self, x) -> np.ndarray:
-        self._check_fitted()
+        check_fitted(self, "slope_")
         xs = as_float_vector(x, "x")
         return self.intercept_ + self.slope_ * xs
 
@@ -119,7 +116,7 @@ class LinearRegression(ParamsMixin):
         bounds a new observation, adding 1 under the square root.  ``z``
         is the two-sided standard normal critical value for ``level``.
         """
-        self._check_fitted()
+        check_fitted(self, "slope_")
         if self.n_ <= 2:
             raise ValueError("prediction bands need n > 2 (no residual variance estimate)")
         if not 0.0 < level < 1.0:
@@ -139,6 +136,6 @@ class LinearRegression(ParamsMixin):
 
     def summary(self) -> str:
         """One-line fit report: coefficients with standard errors in parentheses."""
-        self._check_fitted()
+        check_fitted(self, "slope_")
         return (f"y = {self.intercept_:.6g} ({self.intercept_se_:.3g}) "
                 f"+ {self.slope_:.6g} ({self.slope_se_:.3g})·x")

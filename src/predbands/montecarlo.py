@@ -232,7 +232,7 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         try:
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(n_jobs, len(blocks))) as pool:
                 collect(pool.map(work, blocks))
         except BrokenProcessPool as exc:
             raise WorkerError(f"a worker process died ({n_jobs} workers)") from exc

@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from predbands.dataset import GenConfig, generate_dataset, make_grid
-from predbands.forest import DecisionTreeRegressor, ForestParams, RandomForestRegressor
+from predbands.forest import (DecisionTreeRegressor, ForestFits, ForestParams,
+                              RandomForestRegressor)
 from predbands.metrics import mse
 from predbands.rng import Rng
 
@@ -175,7 +177,10 @@ class TestRandomForest:
         grid = make_grid(150.0, 200.0, 21).points
         forest = RandomForestRegressor(n_trees=8, seed=4).fit(data.xs, data.ys)
         before = forest.predict(grid)
-        forest.trees_ = list(reversed(forest.trees_))
+        trees = forest.fits_.trees(0)[::-1]
+        forest.fits_ = ForestFits(np.concatenate([t for t, _ in trees]),
+                                  np.concatenate([v for _, v in trees]),
+                                  np.array([[len(v) for _, v in trees]]))
         assert np.allclose(forest.predict(grid), before, rtol=1e-12, atol=1e-14)
 
     def test_bounded_by_training_targets(self):
@@ -197,7 +202,7 @@ class TestRandomForest:
         params = ForestParams(n_trees=12, max_depth=4, min_samples_leaf=2,
                               min_samples_split=4, bootstrap=False)
         forest = RandomForestRegressor.from_params(params, seed=11)
-        got = forest.get_params()
+        got = dataclasses.asdict(forest)
         assert got["n_trees"] == 12
         assert got["max_depth"] == 4
         assert got["bootstrap"] is False

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 
 import numpy as np
@@ -79,6 +80,21 @@ class TestRunStudy:
         assert np.array_equal(seq.matrix.rows, par.matrix.rows)
         assert np.array_equal(seq.coefficients.slopes, par.coefficients.slopes)
         assert np.array_equal(seq.coefficients.intercepts, par.coefficients.intercepts)
+
+    def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch):
+        # run_study imports the pool class at call time, so this one is used
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        config = small_config(replications=2)  # two blocks of one replication
+        par = run_study(config, n_jobs=4)
+        assert sizes == [2]
+        assert np.array_equal(par.matrix.rows, run_study(config).matrix.rows)
 
     def test_slope_distribution_at_moderate_scale(self):
         result = run_study(small_config(replications=300))

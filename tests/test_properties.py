@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from predbands import forest, table
 from predbands.dataset import GenConfig, generate_dataset, make_grid
-from predbands.forest import ForestParams, RandomForestRegressor
+from predbands.forest import DecisionTreeRegressor, ForestParams, RandomForestRegressor
 from predbands.montecarlo import StudyConfig, _replicate
 from predbands.rng import Rng, Streams, derive_seed, stream_seeds
 from predbands.table import read_table, write_table
@@ -118,6 +118,34 @@ def test_bootstrapped_trees_match_exhaustive_oracle(case):
 @given(forest_cases(integer_targets=True))
 def test_bootstrapped_trees_with_tied_targets_match_exhaustive_oracle(case):
     check_trees(case)
+
+
+@st.composite
+def routing_cases(draw):
+    """x drawn from a pool of at most 8 values, so x values repeat; integer targets."""
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    ys = draw(st.lists(st.integers(-3, 3), min_size=len(xs), max_size=len(xs)))
+    return np.array(xs), np.array(ys, dtype=float), draw(st.sampled_from([None, 0, 1, 3]))
+
+
+# three adjacent doubles whose two midpoints both round to the middle one
+_ADJACENT = 1.0 + np.array([1.0, 2.0, 3.0]) * np.finfo(float).eps
+
+
+@PROPERTY
+@given(routing_cases())
+@example((_ADJACENT, np.array([0.0, 5.0, 10.0]), None)).via("two equal cuts")
+def test_tree_routing_matches_searchsorted(case):
+    """A tree predicts through its one-tree forest; the per-tree router
+    ``leaf_values_[searchsorted(thresholds_, x, side="left")]`` is the oracle."""
+    xs, ys, max_depth = case
+    tree = DecisionTreeRegressor(max_depth=max_depth).fit(xs, ys)
+    cuts = tree.thresholds_
+    points = np.concatenate([cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf),
+                             xs, [1e300, -1e300]])
+    want = tree.leaf_values_[np.searchsorted(cuts, points, side="left")]
+    assert tree.predict(points).tobytes() == want.tobytes()
 
 
 def polar_oracle(seed, n):
