@@ -268,10 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report",
                            help="histogram/boxplot/Gaussian-overlay JSON for a sample")
     p_rep.add_argument("samples", help="CSV of named columns, or a matrix CSV with --at-x")
-    p_rep.add_argument("--column", default=None,
-                       help="column to summarize (default: first column)")
-    p_rep.add_argument("--at-x", type=float, default=None,
-                       help="select the matrix column at this grid value")
+    pick = p_rep.add_mutually_exclusive_group()
+    pick.add_argument("--column", default=None,
+                      help="column to summarize (default: first column)")
+    pick.add_argument("--at-x", type=float, default=None,
+                      help="select the matrix column at this grid value")
     p_rep.add_argument("--bins", type=int, default=None,
                        help="histogram bin count (default: ceil(sqrt(n)))")
     p_rep.add_argument("--output", default="-", help="output path, - for stdout")

@@ -206,7 +206,7 @@ def boxplot_summary(values) -> BoxplotSummary:
     """Quartiles, whiskers at the most extreme points inside the fences,
     and the sorted points strictly outside them."""
     v = np.sort(as_float_vector(values))
-    band = quartile_band(v)
+    band = QuartileBand(*(float(f) for f in _fences(v)))
     inside = v[(v >= band.low) & (v <= band.high)]
     # Fences always contain some data point, but fall back to the box
     # edges rather than crash on a pathological sample.

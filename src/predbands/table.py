@@ -12,11 +12,11 @@ shortest digits are ``repr``'s exact text there, at about a tenth of
 the cost.  Other rows keep ``repr``, which writes ``nan``, ``inf`` and
 exponents (``1e+16``, ``1e-05``) where orjson writes none of them.
 
-A CSV table of 10,000 values or more is also read with orjson, each
-line as a JSON array, at about a third of the cost of numpy's
-``loadtxt``.  If a line is not ``len(header)`` JSON floats, ``loadtxt``
-reads the whole table again; it reads every other table and gives every
-error message.
+A table is read in one pass, each row once.  In a CSV table of 10,000
+values or more, a row that orjson reads as a JSON array of
+``len(header)`` floats is taken from orjson, at under half the cost
+of ``float`` per cell.  ``float`` reads every other row and names
+the line of every error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-# Below this many values, repr and loadtxt cost less than importing orjson
+# Below this many values, repr and float cost less than importing orjson
 # (about 3.7 ms of CPU, as it loads uuid and zoneinfo).
 _ORJSON_MIN_VALUES = 10_000
 
@@ -59,77 +59,53 @@ def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
 def read_table(source) -> tuple[list[str], np.ndarray]:
     """Header cells and the (rows, len(header)) doubles of a CSV table.
 
-    ``source`` is a path or a seekable text handle.  Blank and
-    whitespace-only lines are skipped; the first other line is the
-    header, and every later line must hold one number per header cell.
-    The rows stream through orjson (large tables) or numpy's C tokenizer,
-    which both parse each cell to the same double as ``float``.  A
-    malformed line raises ValueError naming its line number.
+    ``source`` is a path or a text handle, read once from start to end.
+    Blank and whitespace-only lines are skipped; the first other line is
+    the header, and every later line must hold one number per header
+    cell.  A cell is any text ``float`` reads.  A malformed line raises
+    ValueError naming its line number.
     """
     with nullcontext(source) if hasattr(source, "read") else open(source) as handle:
-        header, lineno = "", 0
-        while not header.strip():
-            header = handle.readline()
-            lineno += 1
-            if not header:
-                raise ValueError("empty table: expected a header line")
+        lines = ((n, line) for n, line in enumerate(handle, start=1) if not line.isspace())
+        _, header = next(lines, (0, ""))
+        if not header:
+            raise ValueError("empty table: expected a header line")
         names = [cell.strip() for cell in header.split(",")]
-        width, start = len(names), handle.tell()
-        lines = (line for line in handle if not line.isspace())
+        width, values = len(names), array("d")
         # every row of a small table, or enough rows to tell it is large
-        head = list(islice(lines, max(1, -(-_ORJSON_MIN_VALUES // width))))
-        if not head:  # loadtxt would warn on no rows
-            return names, np.empty((0, width))
-        if len(head) * width >= _ORJSON_MIN_VALUES:
-            rows = _json_rows(chain(head, lines), width)
-            if rows is not None:
-                return names, rows
-            handle.seek(start)
-            head, lines = [], (line for line in handle if not line.isspace())
-        try:
-            rows = np.loadtxt(chain(head, lines), delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] != width:
-                raise ValueError(f"{rows.shape[1]} fields under a header of {width}")
-        except ValueError:
-            handle.seek(start)
-            _raise_first_bad_line(handle, lineno, width)
-            raise
-    return names, rows
+        head = list(islice(lines, -(-_ORJSON_MIN_VALUES // width)))
+        large = len(head) * width >= _ORJSON_MIN_VALUES
+        for lineno, line in chain(head, lines):
+            row = large and _json_row(line, width)
+            values.fromlist(row or _float_row(line, lineno, width))
+    return names, np.frombuffer(values).reshape(-1, width)
 
 
-def _json_rows(lines, width: int) -> np.ndarray | None:
-    """The lines as rows of ``width`` doubles, or None at the first line that is not.
+def _json_row(line: str, width: int) -> list[float] | None:
+    """The line as ``width`` doubles if ``[line]`` is a JSON array of that many floats.
 
-    ``[line]`` must read as a JSON array of exactly ``width`` floats.  So
-    orjson takes no cell that loadtxt reads differently or refuses: it
-    refuses ``nan``, ``inf``, overflow (``1e999``) and the spellings
+    So orjson takes no cell that ``float`` reads differently or refuses:
+    it refuses ``nan``, ``inf``, overflow (``1e999``) and the spellings
     ``01``, ``1.`` and ``.5``, and the float rule refuses the ints,
     bools, nulls, strings and lists it reads (``-0`` is the int 0).
     orjson rounds every other number to the double ``float`` gives.
     """
     import orjson
-    values = array("d")
-    for line in lines:
+    try:
+        row = orjson.loads("[" + line + "]")
+    except orjson.JSONDecodeError:
+        return None
+    return row if len(row) == width and set(map(type, row)) == {float} else None
+
+
+def _float_row(line: str, lineno: int, width: int) -> list[float]:
+    cells = line.rstrip("\r\n").split(",")
+    if len(cells) != width:
+        raise ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+    row = []
+    for cell in cells:
         try:
-            row = orjson.loads("[" + line + "]")
-        except orjson.JSONDecodeError:
-            return None
-        if len(row) != width or set(map(type, row)) != {float}:
-            return None
-        values.fromlist(row)
-    return np.frombuffer(values).reshape(-1, width)
-
-
-def _raise_first_bad_line(lines, lineno: int, width: int) -> None:
-    # Diagnostic rescan, run only after the fast parse failed.
-    for lineno, line in enumerate(lines, start=lineno + 1):
-        if line.isspace():
-            continue
-        cells = line.rstrip("\r\n").split(",")
-        if len(cells) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse {cell!r}") from None
+            row.append(float(cell))
+        except ValueError:
+            raise ValueError(f"line {lineno}: could not parse {cell!r}") from None
+    return row

@@ -421,6 +421,13 @@ class TestReport:
         assert docs[0][0] == 0
         assert docs[0] == docs[1]
 
+    def test_column_and_at_x_are_exclusive(self, capsys, study_files):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", study_files + "_matrix.csv", "--column", "175.0", "--at-x", "175"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: ") and "not allowed with argument" in err
+
     def test_off_grid_x_is_rejected(self, capsys, study_files):
         code, _, err = run_cli(capsys, "report", study_files + "_matrix.csv",
                                "--at-x", "151.7")

@@ -7,6 +7,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -294,8 +295,8 @@ def test_table_at_the_size_threshold_is_repr_text():
     assert csv.getvalue().splitlines()[1:] == repr_lines(rows)
 
 
-# cells that orjson must refuse, or read as a non-float, so that loadtxt reads
-# the table: ints (orjson reads -0 as 0), non-finite and overflowing numbers,
+# cells that orjson must refuse, or read as a non-float, so that float reads
+# the row: ints (orjson reads -0 as 0), non-finite and overflowing numbers,
 # JSON values that are not numbers, and spellings that JSON does not allow
 LOADTXT_CELLS = ["-0", "7", "9007199254740993", "-18446744073709551617", "nan", "inf",
                  "-inf", "1e999", "true", "null", '"1.5"', "[2]", "01", "1.", ".5", ""]
@@ -344,7 +345,7 @@ def table_texts(draw):
 @example("c0,c1\n1.0,2.0],[3.0,4.0\n")
 def test_orjson_reader_matches_loadtxt(text):
     got = []
-    for threshold in (0, 10**9):  # orjson for any table, then loadtxt for every table
+    for threshold in (0, 10**9):  # orjson for any table, then float for every table
         with mock.patch.object(table, "_ORJSON_MIN_VALUES", threshold):
             try:
                 got.append(read_table(io.StringIO(text)))
@@ -356,6 +357,15 @@ def test_orjson_reader_matches_loadtxt(text):
     else:
         assert fast[0] == oracle[0] and fast[1].shape == oracle[1].shape
         assert np.array_equal(fast[1].view(np.uint64), oracle[1].view(np.uint64))
+    # numpy's own tokenizer, which shares no code with the reader
+    try:
+        want = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except ValueError:
+        want = None
+    if want is None or want.shape[1] != len(text.partition("\n")[0].split(",")):
+        assert isinstance(oracle, str) and oracle.startswith("line ")
+    else:
+        assert np.array_equal(oracle[1].view(np.uint64), want.view(np.uint64))
 
 
 def test_tables_from_the_size_threshold_are_read_by_orjson(monkeypatch):
@@ -363,9 +373,41 @@ def test_tables_from_the_size_threshold_are_read_by_orjson(monkeypatch):
     assert rows.size == table._ORJSON_MIN_VALUES
     csv = io.StringIO()
     write_table(csv, [f"c{j}" for j in range(1000)], rows)
-    loadtxt, calls = np.loadtxt, []
-    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
-    for text, n_rows in ((csv.getvalue(), 10), (csv.getvalue().rsplit("\n", 2)[0], 9)):
+    import orjson
+    loads = orjson.loads
+    # one call per row of the table of 10,000 values, none for 9,000
+    for text, n_rows, n_calls in ((csv.getvalue(), 10, 10), (csv.getvalue().rsplit("\n", 2)[0], 9, 0)):
+        calls = []
+        monkeypatch.setattr(orjson, "loads", lambda *args: calls.append(1) or loads(*args))
         back = read_table(io.StringIO(text))[1]
         assert np.array_equal(back.view(np.uint64), rows[:n_rows].view(np.uint64))
-    assert calls == [1]  # only the table of 9,000 values
+        assert len(calls) == n_calls
+
+
+class _Stream:
+    """A text handle that reads forward only: it has no seek and no tell."""
+
+    def __init__(self, text):
+        self._lines = iter(text.splitlines(keepends=True))
+
+    def __iter__(self):
+        return self._lines
+
+    def read(self):
+        return "".join(self._lines)
+
+
+def test_table_is_read_in_one_forward_pass():
+    rows = np.random.default_rng(10).normal(size=(12, 1001))
+    rows[-1, 3] = np.nan  # a row orjson refuses, after 11 it reads
+    csv = io.StringIO()
+    write_table(csv, [f"c{j}" for j in range(1001)], rows)
+    lines = csv.getvalue().splitlines(keepends=True)
+    text = "".join(lines[:-1] + ["\n", lines[-1]])  # the nan row is line 14
+    back = read_table(_Stream(text))[1]
+    assert np.array_equal(back.view(np.uint64), rows.view(np.uint64))
+    bad = text[:text.rindex(",")] + ",oops\n"
+    with pytest.raises(ValueError, match="^line 14: could not parse 'oops'$"):
+        read_table(_Stream(bad))
+    # a small table's cells are whatever float reads
+    assert read_table(io.StringIO("a,b\n1_0,2.5\n"))[1].tolist() == [[10.0, 2.5]]
