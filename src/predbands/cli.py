@@ -12,21 +12,18 @@ data and written file paths.  Where a command produces a single file,
 
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # `python -m predbands.cli` goes through the launcher before argparse
+    # and numpy load here; it imports this module again as predbands.cli
+    from predbands.__main__ import run
+    run()
+
 import argparse
-import json
 import os
 import re
 import shutil
 import sys
 from contextlib import ExitStack, contextmanager
-
-# The CLI runs numpy's BLAS on one thread unless the caller chose a count.
-# predbands' only BLAS calls are short row dots and its parallelism is
-# worker processes (--threads), which inherit this setting.  A threaded dot
-# over 100,000+ values rounds differently with the core count, and starting
-# the thread pool costs each process about 0.1 s of CPU on 2 cores.  This
-# must run before numpy loads, which the lazy package guarantees.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -205,6 +202,7 @@ def cmd_report(args) -> int:
                 f"unknown column {name!r}; available: {', '.join(names)}")
         values = rows[:, names.index(name)]
     doc = distribution_report(values, bins=args.bins)
+    import json
     with _open_out(args.output) as out:
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -303,7 +301,3 @@ def main(argv=None) -> int:
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,7 +21,6 @@ the line of every error.
 
 from __future__ import annotations
 
-import json
 from array import array
 from contextlib import nullcontext
 from itertools import chain, islice, repeat
@@ -40,6 +39,7 @@ def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
     so a large table is never held as Python floats all at once.
     """
     if fmt == "json":
+        import json
         json.dump({name: [None if v != v else v for v in rows[:, j].tolist()]
                    for j, name in enumerate(header)}, out, indent=2)
         out.write("\n")

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import multiprocessing
@@ -620,3 +621,58 @@ def test_a_closed_stdout_is_no_failure(tmp_path, argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_importing_the_cli_leaves_the_environment_alone():
+    # only the launcher sets the CLI's one BLAS thread
+    probe = "import os, predbands.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_fresh(["-c", probe], OPENBLAS_NUM_THREADS=None).stdout.strip() == "None"
+
+
+def test_a_csv_study_never_loads_json(tmp_path):
+    probe = ("import sys; from predbands.cli import main; "
+             f"assert main(['study', '--output', {str(tmp_path / 's')!r}]) == 0; "
+             "print('json' in sys.modules)")
+    assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_callers_collector_alone(capsys, tmp_path, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, "study", "--replications", "20",
+                             "--output", str(tmp_path / "s"))
+        assert (code, gc.isenabled(), gc.get_freeze_count()) == (0, enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_the_launcher_freezes_the_imports_and_collects_after(tmp_path):
+    # the hook runs at exit, after the command: the collector is back on and
+    # the imports sit in the permanent generation
+    probe = ("import atexit, gc, runpy, sys; "
+             "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+             "sys.argv = ['predbands', 'study', '--replications', '20', "
+             f"'--output', {str(tmp_path / 's')!r}]; "
+             "runpy.run_module('predbands.cli', run_name='__main__')")
+    assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "True True"
+
+
+@pytest.mark.parametrize("launcher", [["-c", "from predbands.__main__ import run; run()"],
+                                      ["-m", "predbands"]], ids=["console-script", "python-m"])
+def test_every_entry_point_keeps_the_exit_codes_and_bytes(tmp_path, launcher):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("x,y\n1,2\n1,3\n1,4\n")
+    for argv, code in ((["study", "--replications", "1"], 1), (["fit", str(flat)], 2)):
+        with pytest.raises(subprocess.CalledProcessError) as failed:
+            run_fresh([*launcher, *argv])
+        err = failed.value.stderr
+        assert failed.value.returncode == code
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    for label, argv in (("run", launcher), ("cli", ["-m", "predbands.cli"])):
+        run_fresh([*argv, "study", "--replications", "20", "--output", str(tmp_path / label)])
+    outputs = {label: [p.read_bytes() for p in sorted(tmp_path.glob(f"{label}_*"))]
+               for label in ("run", "cli")}
+    assert len(outputs["run"]) == 2 and outputs["run"] == outputs["cli"]
