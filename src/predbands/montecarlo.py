@@ -13,13 +13,17 @@ Replications run in blocks of consecutive indices.  A block draws,
 splits, fits and predicts all its replications with array operations
 (all trees of a block's forests grow together, level by level), and
 every row is bit-identical to the same replication run alone.  Blocks are
-embarrassingly parallel; ``n_jobs > 1`` fans them out to worker
+embarrassingly parallel; ``n_jobs > 1`` fans them out to forked worker
 processes and merges rows by index, which keeps the output
-byte-identical to a sequential run.
+byte-identical to a sequential run.  Where ``os.fork`` is missing
+(Windows), every block runs in the calling process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -225,20 +229,67 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
                 holdout[at] = part[3]
 
     work = partial(_replicate, config)
-    if n_jobs == 1:
+    if n_jobs == 1 or not hasattr(os, "fork"):
         collect(map(work, blocks))
     else:
-        # imported here, so a study on one process never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(max_workers=min(n_jobs, len(blocks))) as pool:
-                collect(pool.map(work, blocks))
-        except BrokenProcessPool as exc:
-            raise WorkerError(f"a worker process died ({n_jobs} workers)") from exc
+        with closing(_forked(work, blocks, n_jobs)) as parts:
+            collect(parts)
     coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
     return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
                        coefficients=coeffs)
+
+
+def _forked(work, blocks: list, n_jobs: int):
+    """Yield ``work(block)`` of each block in order, from forked children.
+
+    Child w runs blocks w, w + n_jobs, ... and pickles each result, or the
+    exception that stops it, into its own pipe, so reading in block order
+    raises the lowest failing block's error at any worker count.  However
+    the reading ends, every child is killed and reaped.
+    """
+    from signal import SIGKILL  # here, so a study on one process does not load it
+    n_jobs = min(n_jobs, len(blocks))
+    pipes, pids = [], []
+    try:
+        for w in range(n_jobs):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            # the parent closes its copy, so the pipe ends when the child does
+            with open(write_end, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    _child(work, blocks[w::n_jobs], out, pipes)
+                pids.append(pid)
+        for i in range(len(blocks)):
+            try:
+                part = pickle.load(pipes[i % n_jobs])
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise WorkerError(f"a worker process died ({n_jobs} workers)") from exc
+            if isinstance(part, Exception):
+                raise part
+            yield part
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(work, blocks: list, out, pipes: list):
+    """The whole life of a forked worker: it never returns."""
+    try:
+        for pipe in pipes:  # so a write fails once the parent is gone
+            pipe.close()
+        for reps in blocks:
+            try:
+                part = work(reps)
+            except Exception as exc:
+                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+                break
+            pickle.dump(part, out, pickle.HIGHEST_PROTOCOL)
+        out.close()
+    finally:
+        os._exit(0)  # so no atexit handler runs and no inherited buffer is flushed
 
 
 def single_sample_curve(config: StudyConfig, replication: int) -> np.ndarray:

@@ -48,11 +48,14 @@ def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
     plain = repeat(False)
     if rows.size >= _ORJSON_MIN_VALUES:
         import orjson
+        rows = np.ascontiguousarray(rows)  # orjson serializes C-contiguous arrays only
         plain = ((rows == 0) | (rows >= 1e-4) & (rows < 1e16)
                  | (rows <= -1e-4) & (rows > -1e16)).all(axis=1)
     for row, fast in zip(rows, plain):
-        values = row.tolist()
-        line = orjson.dumps(values)[1:-1].decode() if fast else ",".join(map(repr, values))
+        if fast:
+            line = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        else:
+            line = ",".join(map(repr, row.tolist()))
         out.write(line + "\n")
 
 

@@ -1,7 +1,6 @@
 import gc
 import importlib
 import json
-import multiprocessing
 import os
 import stat
 import subprocess
@@ -19,8 +18,11 @@ from predbands.linear import LinearRegression
 from predbands.table import write_table
 
 
+TEST_PID = os.getpid()
+
+
 def _die_in_worker(config, r):
-    if multiprocessing.parent_process() is None:
+    if os.getpid() == TEST_PID:
         raise AssertionError("expected to run in a worker process")
     os._exit(1)
 
@@ -551,7 +553,7 @@ def run_fresh(args, **env_changes):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # a fresh interpreter: this one has imported multiprocessing already
+    # a fresh interpreter, as another test may have imported multiprocessing in this one
     probe = "import predbands.cli, sys; print('multiprocessing' in sys.modules)"
     assert run_fresh(["-c", probe]).stdout.strip() == "False"
 
@@ -603,6 +605,23 @@ def test_linear_study_and_report_never_load_the_forest(tmp_path):
              f"assert main(['report', {prefix + '_matrix.csv'!r}, '--at-x', '175']) == 0; "
              "print('predbands.forest' in sys.modules)")
     assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "False"
+
+
+def test_forest_commands_never_load_numpy_ma_or_a_process_pool(tmp_path):
+    # np.median and np.unique import numpy.ma; the workers are forked directly
+    data, prefix = str(tmp_path / "d.csv"), str(tmp_path / "s")
+    probe = ("import sys; from predbands.cli import main; "
+             "from predbands.montecarlo import StudyConfig, run_study; "
+             "run_study(StudyConfig(model='forest', replications=4)); "
+             "in_process = 'numpy.ma' in sys.modules; "
+             "assert main(['study', '--model', 'forest', '--replications', '20', "
+             f"'--threads', '2', '--output', {prefix!r}]) == 0; "
+             f"assert main(['generate', '--output', {data!r}]) == 0; "
+             f"assert main(['fit', {data!r}, '--model', 'forest', "
+             f"'--output', {str(tmp_path / 'f.csv')!r}]) == 0; "
+             "print(in_process, [m for m in ('numpy.ma', 'concurrent.futures', "
+             "'multiprocessing') if m in sys.modules])")
+    assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "False []"
 
 
 @pytest.mark.parametrize("argv", [["report", "{matrix}"], ["generate", "--samples", "100000"]])

@@ -1,5 +1,8 @@
-import concurrent.futures
 import io
+import os
+import pickle
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,10 +15,13 @@ from predbands.montecarlo import (
     PredictionMatrix,
     ReplicationError,
     StudyConfig,
+    WorkerError,
     run_study,
     single_sample_curve,
 )
 from predbands.table import write_table
+
+TEST_PID = os.getpid()
 
 
 def small_config(**overrides):
@@ -82,18 +88,17 @@ class TestRunStudy:
         assert np.array_equal(seq.coefficients.intercepts, par.coefficients.intercepts)
 
     def test_pool_starts_no_more_workers_than_blocks(self, monkeypatch):
-        # run_study imports the pool class at call time, so this one is used
-        sizes = []
+        forks = []
+        fork = os.fork
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "fork", counting_fork)
         config = small_config(replications=2)  # two blocks of one replication
         par = run_study(config, n_jobs=4)
-        assert sizes == [2]
+        assert len(forks) == 2
         assert np.array_equal(par.matrix.rows, run_study(config).matrix.rows)
 
     def test_slope_distribution_at_moderate_scale(self):
@@ -147,6 +152,75 @@ class TestRunStudy:
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ValueError):
             run_study(small_config(), n_jobs=0)
+
+
+def _fail_from_replication_5(real, config, reps):
+    if reps.stop > 5:
+        raise ReplicationError(max(reps.start, 5), "injected")
+    return real(config, reps)
+
+
+def _die_in_worker(config, reps):
+    if os.getpid() == TEST_PID:
+        raise AssertionError("expected to run in a worker process")
+    os._exit(1)
+
+
+def _interrupt(handle):
+    raise KeyboardInterrupt
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("config", [
+        small_config(test_fraction=0.25, replications=7),
+        small_config(model="forest", forest=ForestParams(n_trees=5), replications=7),
+    ], ids=["linear-holdout", "forest"])
+    def test_rows_and_coefficients_equal_at_any_worker_count(self, config):
+        # at n_jobs > 1 the 7 replications are 7 blocks, which 2 and 3 workers do not divide
+        results = [run_study(config, n_jobs=n_jobs) for n_jobs in (1, 2, 3)]
+        for result in results[1:]:
+            assert result.matrix.rows.tobytes() == results[0].matrix.rows.tobytes()
+            assert (result.coefficients.table()[1].tobytes()
+                    == results[0].coefficients.table()[1].tobytes())
+
+    def test_without_fork_every_block_runs_in_the_caller(self, monkeypatch):
+        config = small_config(replications=7)
+        want = run_study(config).matrix.rows
+        monkeypatch.delattr(os, "fork")
+        assert run_study(config, n_jobs=2).matrix.rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    def test_failure_names_the_lowest_failing_replication(self, monkeypatch, n_jobs):
+        # every block from replication 5 on fails, in whichever worker runs it
+        monkeypatch.setattr(montecarlo, "_replicate",
+                            partial(_fail_from_replication_5, montecarlo._replicate))
+        with pytest.raises(ReplicationError, match="^replication 5: injected$") as info:
+            run_study(small_config(), n_jobs=n_jobs)
+        assert info.value.replication == 5
+
+    @pytest.mark.parametrize("module, name, fake, expected", [
+        (None, None, None, None),
+        (montecarlo, "_replicate", partial(_fail_from_replication_5, montecarlo._replicate),
+         ReplicationError),
+        (montecarlo, "_replicate", _die_in_worker, WorkerError),
+        (pickle, "load", _interrupt, KeyboardInterrupt),  # Ctrl-C while the parent waits
+    ], ids=["success", "failure", "dead-worker", "interrupt"])
+    def test_no_child_is_left(self, monkeypatch, module, name, fake, expected):
+        if fake is not None:
+            monkeypatch.setattr(module, name, fake)
+        with pytest.raises(expected) if expected else nullcontext():
+            run_study(small_config(), n_jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_is_left_by_a_reader_that_stops_early(self):
+        config = small_config()
+        parts = montecarlo._forked(partial(montecarlo._replicate, config),
+                                   [range(0, 4), range(4, 8)], 2)
+        assert np.array_equal(next(parts)[0], run_study(config).matrix.rows[:4])
+        parts.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSingleSampleCurve:

@@ -238,6 +238,29 @@ def test_block_rows_equal_batches_of_one(case):
                 assert np.array_equal(got[i], want[0], equal_nan=True), f"replication {r}"
 
 
+@st.composite
+def tied_rows(draw):
+    """(rows, n) values from a pool of at most 6 values of mixed signs, so values tie."""
+    finite = st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 0.0, 5e-324, -1.5])
+    pool = draw(st.lists(finite, min_size=1, max_size=6))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 12)))
+    values = draw(arrays(np.float64, shape, elements=st.sampled_from(pool)))
+    values[draw(arrays(np.bool_, shape)) & draw(st.booleans())] = np.nan
+    return values
+
+
+@PROPERTY
+@given(tied_rows())
+@example(np.array([[-0.0, -0.0], [1e300, 1e300], [-3.0, 3.0]]))
+@example(np.array([[2.0, np.nan, 1.0]]))
+def test_forest_median_and_distinct_cuts_equal_numpys(values):
+    # the forest code avoids np.median and np.unique, which import numpy.ma
+    assert forest._median(values).tobytes() == np.median(values, axis=1).tobytes()
+    cuts = values[~np.isnan(values)]  # cuts are midpoints of finite x values
+    for part in (cuts, cuts[:1], cuts[:0]):  # a one-leaf tree has no cuts
+        assert forest._distinct(part).tobytes() == np.unique(part).tobytes()
+
+
 # -0.0, subnormals, and the doubles around 1e16 and 1e-4, where repr
 # switches between positional and exponent form
 EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
