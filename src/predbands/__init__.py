@@ -19,14 +19,11 @@ _SOURCE = {
     name: module
     for module, names in {
         "base": ("ForestParams",),
-        "dataset": ("Dataset", "GenConfig", "Grid", "generate_dataset", "make_grid",
-                    "split_train_test"),
+        "dataset": ("Dataset", "GenConfig", "Grid", "generate_dataset", "make_grid"),
         "forest": ("DecisionTreeRegressor", "RandomForestRegressor"),
         "linear": ("LinearRegression", "SingularFitError"),
-        "metrics": ("mse",),
         "montecarlo": ("CoefficientSamples", "PredictionMatrix", "ReplicationError",
-                       "StudyConfig", "StudyResult", "WorkerError", "run_study",
-                       "single_sample_curve"),
+                       "StudyConfig", "StudyResult", "WorkerError", "run_study"),
         "rng": ("Rng", "derive_seed"),
         "stats": ("BandCurve", "BoxplotSummary", "Histogram", "QuartileBand", "band_curve",
                   "band_slope", "boxplot_summary", "distribution_report", "gaussian_overlay",

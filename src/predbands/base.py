@@ -19,8 +19,8 @@ def check_fitted(model, attr: str):
         raise ValueError(f"this {type(model).__name__} instance is not fitted yet") from None
 
 
-def as_float_vector(values, name: str = "values", min_len: int = 1) -> np.ndarray:
-    """Coerce to a 1-D float64 array and reject NaN/Inf.
+def as_float_vector(values, name: str = "values") -> np.ndarray:
+    """Coerce to a non-empty 1-D float64 array and reject NaN/Inf.
 
     Column vectors of shape (n, 1) are accepted and flattened, so the
     estimators compose with pipelines that feed 2-D single-feature X.
@@ -31,8 +31,8 @@ def as_float_vector(values, name: str = "values", min_len: int = 1) -> np.ndarra
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D (or a single-column 2-D array), "
                          f"got shape {arr.shape}")
-    if arr.size < min_len:
-        raise ValueError(f"{name} must hold at least {min_len} value(s), got {arr.size}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must hold at least 1 value(s), got 0")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf")
     return arr

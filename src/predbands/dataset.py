@@ -146,8 +146,6 @@ def split_rows(xs: np.ndarray, ys: np.ndarray, test_fraction: float, seeds):
     ``round(n * test_fraction)`` shuffled columns are the test part.
     Fractions that leave either part empty are rejected.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = xs.shape[1]
     n_test = int(round(n * test_fraction))
     if n_test < 1 or n_test > n - 1:
@@ -156,13 +154,3 @@ def split_rows(xs: np.ndarray, ys: np.ndarray, test_fraction: float, seeds):
     perm = Streams(seeds).permutations(n)
     xs, ys = np.take_along_axis(xs, perm, 1), np.take_along_axis(ys, perm, 1)
     return (xs[:, n_test:], ys[:, n_test:]), (xs[:, :n_test], ys[:, :n_test])
-
-
-def split_train_test(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Random train/test partition: shuffle by seed, first part is test.
-
-    The test size is ``round(n * test_fraction)``; fractions that leave
-    either part empty are rejected.
-    """
-    train, test = split_rows(data.xs[None], data.ys[None], test_fraction, [seed])
-    return Dataset(train[0][0], train[1][0]), Dataset(test[0][0], test[1][0])

@@ -129,8 +129,12 @@ class LinearRegression:
         xs = as_float_vector(x, "x")
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
         extra = 1.0 if kind == "observation" else 0.0
-        half = z * self.residual_se_ * np.sqrt(
-            extra + 1.0 / self.n_ + (xs - self.x_mean_) ** 2 / self.sxx_)
+        # a far x overflows the square, and s == 0 times inf is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = z * self.residual_se_ * np.sqrt(
+                extra + 1.0 / self.n_ + (xs - self.x_mean_) ** 2 / self.sxx_)
+        if not np.all(np.isfinite(half)):
+            raise ValueError(f"the {kind} band's half-width is not finite over this x range")
         center = self.intercept_ + self.slope_ * xs
         return center - half, center + half
 

@@ -33,7 +33,6 @@ import numpy as np
 from .base import ForestParams
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
 from .linear import fit_lines
-from .metrics import row_mse
 from .rng import stream_seeds
 from .table import read_table
 
@@ -191,7 +190,8 @@ def _replicate(config: StudyConfig, reps: range):
             slopes = intercepts = np.full(len(reps), np.nan)
         rows = fits.predict(config.grid.points)
         if test_xs is not None:
-            holdout = row_mse(test_ys, fits.predict(test_xs))
+            diff = test_ys - fits.predict(test_xs)
+            holdout = np.mean(diff * diff, axis=-1)
         return rows, slopes, intercepts, holdout
     except Exception as exc:
         raise ReplicationError(reps[getattr(exc, "row", 0)], str(exc)) from exc
@@ -290,11 +290,3 @@ def _child(work, blocks: list, out, pipes: list):
         out.close()
     finally:
         os._exit(0)  # so no atexit handler runs and no inherited buffer is flushed
-
-
-def single_sample_curve(config: StudyConfig, replication: int) -> np.ndarray:
-    """Grid predictions of one replication, identical to its study row."""
-    if not 0 <= replication < config.replications:
-        raise IndexError(
-            f"replication must be in [0, {config.replications}), got {replication}")
-    return _replicate(config, range(replication, replication + 1))[0][0]

@@ -100,11 +100,6 @@ class BandCurve:
             if len(getattr(self, name)) != g:
                 raise ValueError(f"{name} length does not match grid ({g})")
 
-    def band_at(self, i: int) -> QuartileBand:
-        return QuartileBand(q1=float(self.q1[i]), median=float(self.median[i]),
-                            q3=float(self.q3[i]), iqr=float(self.iqr[i]),
-                            low=float(self.low[i]), high=float(self.high[i]))
-
     def table(self) -> tuple[list[str], np.ndarray]:
         """Header ``x,mean,sd,q1,median,q3,iqr,low,high`` and one row per grid point."""
         names = ["mean", "sd", "q1", "median", "q3", "iqr", "low", "high"]

@@ -521,6 +521,7 @@ class TestUsageErrors:
         (["generate", "--x-min=-1e308", "--x-max", "1e308"], "x_high - x_low"),
         (["generate", "--x-min", "-inf"], "x_low"),
         (["generate", "--x-min", "-NaN"], "x_low"),
+        (["fit", "{data}", "--x-max", "1e308"], "mean band"),  # (x - x_mean)**2 overflows
     ])
     def test_non_finite_value_is_a_one_line_error(self, capsys, tmp_path, argv, field):
         data = tmp_path / "data.csv"

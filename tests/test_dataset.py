@@ -9,7 +9,7 @@ from predbands.dataset import (
     Grid,
     generate_dataset,
     make_grid,
-    split_train_test,
+    split_rows,
 )
 from predbands.table import write_table
 
@@ -131,37 +131,41 @@ class TestGrid:
 
 
 class TestSplitTrainTest:
+    """``split_rows`` on one-row blocks, and on one block of many rows."""
+
     def test_counts_and_completeness(self):
         data = generate_dataset(GenConfig(n_samples=10, seed=2))
-        train, test = split_train_test(data, 0.2, seed=7)
-        assert (len(train), len(test)) == (8, 2)
-        merged = sorted(np.concatenate([train.xs, test.xs]).tolist())
+        (train_xs, _), (test_xs, _) = split_rows(data.xs[None], data.ys[None], 0.2, [7])
+        assert (train_xs.shape, test_xs.shape) == ((1, 8), (1, 2))
+        merged = sorted(np.concatenate([train_xs[0], test_xs[0]]).tolist())
         assert merged == sorted(data.xs.tolist())
 
     def test_deterministic(self):
         data = generate_dataset(GenConfig(n_samples=20, seed=2))
-        a = split_train_test(data, 0.25, seed=3)
-        b = split_train_test(data, 0.25, seed=3)
-        assert np.array_equal(a[0].xs, b[0].xs)
-        assert np.array_equal(a[1].ys, b[1].ys)
+        a = split_rows(data.xs[None], data.ys[None], 0.25, [3])
+        b = split_rows(data.xs[None], data.ys[None], 0.25, [3])
+        assert np.array_equal(a[0][0], b[0][0])
+        assert np.array_equal(a[1][1], b[1][1])
 
     def test_rejects_empty_parts(self):
         data = generate_dataset(GenConfig(n_samples=10, seed=2))
+        xs, ys = data.xs[None], data.ys[None]
         with pytest.raises(ValueError):
-            split_train_test(data, 0.01, seed=1)   # rounds to zero test rows
+            split_rows(xs, ys, 0.01, [1])   # rounds to zero test rows
         with pytest.raises(ValueError):
-            split_train_test(data, 0.99, seed=1)   # rounds to zero train rows
+            split_rows(xs, ys, 0.99, [1])   # rounds to zero train rows
         with pytest.raises(ValueError):
-            split_train_test(data, 1.5, seed=1)
+            split_rows(xs, ys, 1.5, [1])
 
     def test_each_row_lands_in_test_at_the_right_rate(self):
         data = generate_dataset(GenConfig(n_samples=100, seed=4))
         hits = np.zeros(100)
         x_to_row = {float(x): i for i, x in enumerate(data.xs)}
-        for seed in range(1000):
-            _, test = split_train_test(data, 0.3, seed=seed)
-            for x in test.xs:
-                hits[x_to_row[float(x)]] += 1
+        # row i of the block is split as a one-row block of seed i would be
+        block = np.tile(data.xs, (1000, 1))
+        _, (test_xs, _) = split_rows(block, block, 0.3, range(1000))
+        for x in test_xs.ravel().tolist():
+            hits[x_to_row[x]] += 1
         rates = hits / 1000.0
         assert np.all(rates > 0.25)
         assert np.all(rates < 0.35)

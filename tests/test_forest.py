@@ -1,14 +1,15 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from predbands.dataset import GenConfig, generate_dataset, make_grid
+from predbands.dataset import GenConfig, generate_dataset, generate_rows, make_grid, split_rows
 from predbands.forest import (DecisionTreeRegressor, ForestFits, ForestParams,
                               RandomForestRegressor)
-from predbands.metrics import mse
-from predbands.rng import Rng
+from predbands.montecarlo import StudyConfig, run_study
+from predbands.rng import Rng, derive_seed
 
 
 def exhaustive_tree_oracle(xs, ys, max_depth=None, min_leaf=1, min_split=2):
@@ -216,20 +217,30 @@ class TestRandomForest:
 
 
 class TestMse:
-    def test_identical_vectors(self):
-        assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
+    """The holdout mse column of a study with a test split."""
 
-    def test_unit_offsets(self):
-        assert mse([0.0, 0.0], [1.0, 1.0]) == 1.0
+    def test_identical_vectors(self):
+        # a noiseless flat line is predicted exactly at every held-out point
+        gen = GenConfig(intercept=1.0, slope=0.0, noise_sigma=0.0, seed=3)
+        for model in ("linear", "forest"):
+            config = StudyConfig(gen=gen, model=model, forest=ForestParams(n_trees=5),
+                                 replications=3, test_fraction=0.3)
+            assert run_study(config).coefficients.test_mse.tolist() == [0.0] * 3
 
     def test_hand_computed(self):
-        assert mse([1.0, 2.0, 3.0], [2.0, 4.0, 3.0]) == pytest.approx(5.0 / 3.0, rel=1e-15)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mse([1.0, 2.0], [1.0])
+        master, big_r = 100, 4
+        config = StudyConfig(gen=GenConfig(seed=master), replications=big_r, test_fraction=0.25)
+        coeffs = run_study(config).coefficients
+        for r in range(big_r):
+            xs, ys = generate_rows(config.gen, [derive_seed(master, r)])
+            _, (test_xs, test_ys) = split_rows(xs, ys, 0.25, [derive_seed(master, 2 * big_r + r)])
+            a, b = float(coeffs.intercepts[r]), float(coeffs.slopes[r])
+            residuals = [y - (a + b * x) for x, y in zip(test_xs[0].tolist(), test_ys[0].tolist())]
+            assert len(residuals) == 25
+            want = math.fsum(d * d for d in residuals) / 25
+            assert coeffs.test_mse[r] == pytest.approx(want, rel=1e-15)
 
     def test_nonnegative(self):
-        rng = Rng(12)
-        a, b = rng.normals(50), rng.normals(50)
-        assert mse(a, b) > 0.0
+        config = StudyConfig(gen=GenConfig(seed=12), model="forest",
+                             forest=ForestParams(n_trees=5), replications=4, test_fraction=0.3)
+        assert np.all(run_study(config).coefficients.test_mse > 0.0)

@@ -17,7 +17,6 @@ from predbands.montecarlo import (
     StudyConfig,
     WorkerError,
     run_study,
-    single_sample_curve,
 )
 from predbands.table import write_table
 
@@ -53,8 +52,9 @@ class TestStudyConfig:
             small_config(replications=1)
         with pytest.raises(ValueError):
             small_config(model="boost")
-        with pytest.raises(ValueError):
-            small_config(test_fraction=1.2)
+        for fraction in (0.0, 1.0, 1.2, 1.5, float("nan")):  # the only range check
+            with pytest.raises(ValueError, match="test_fraction"):
+                small_config(test_fraction=fraction)
         with pytest.raises(ValueError):
             small_config(grid=make_grid(100.0, 250.0, 5))  # beyond training range
 
@@ -224,35 +224,34 @@ class TestForkedWorkers:
 
 
 class TestSingleSampleCurve:
+    """One replication run alone, as a block of one."""
+
+    @staticmethod
+    def curve(config, r):
+        return montecarlo._replicate(config, range(r, r + 1))[0][0]
+
     def test_reproduces_study_rows_exactly(self):
         config = small_config(replications=5)
         result = run_study(config)
         for r in range(5):
-            assert np.array_equal(single_sample_curve(config, r), result.matrix.rows[r])
+            assert np.array_equal(self.curve(config, r), result.matrix.rows[r])
 
     def test_forest_rows_match_too(self):
         config = small_config(model="forest", forest=ForestParams(n_trees=4),
                               replications=3, grid=make_grid(150.0, 200.0, 41))
         result = run_study(config)
-        assert np.array_equal(single_sample_curve(config, 2), result.matrix.rows[2])
+        assert np.array_equal(self.curve(config, 2), result.matrix.rows[2])
 
     def test_zero_noise_gives_true_line(self):
         config = small_config(gen=GenConfig(noise_sigma=0.0, seed=2))
-        curve = single_sample_curve(config, 0)
+        curve = self.curve(config, 0)
         assert np.allclose(curve, config.grid.points - 100.0, rtol=0, atol=1e-9)
 
     def test_forest_curve_is_piecewise_constant(self):
         config = small_config(model="forest", forest=ForestParams(n_trees=3),
                               replications=2, grid=make_grid(150.0, 200.0, 201))
-        curve = single_sample_curve(config, 0)
+        curve = self.curve(config, 0)
         assert np.any(np.diff(curve) == 0.0)
-
-    def test_index_validation(self):
-        config = small_config(replications=3)
-        with pytest.raises(IndexError):
-            single_sample_curve(config, 3)
-        with pytest.raises(IndexError):
-            single_sample_curve(config, -1)
 
 
 class TestPredictionMatrix:

@@ -8,6 +8,7 @@ from predbands.montecarlo import PredictionMatrix
 from predbands.rng import Rng
 from predbands.stats import (
     Histogram,
+    QuartileBand,
     band_curve,
     band_slope,
     boxplot_summary,
@@ -135,7 +136,8 @@ class TestBandCurve:
         assert np.all(curve.median <= curve.q3)
         assert np.array_equal(curve.iqr, curve.q3 - curve.q1)
         for i in range(5):
-            band = curve.band_at(i)
+            band = QuartileBand(*(float(getattr(curve, name)[i])
+                                  for name in ("q1", "median", "q3", "iqr", "low", "high")))
             assert band.low == band.q1 - 1.5 * band.iqr
             assert band == quartile_band(rows[:, i])
 
