@@ -56,13 +56,6 @@ def quantile(values, p: float) -> float:
     return float(_column_quantile(np.sort(as_float_vector(values)), p))
 
 
-def mean_sd(values) -> tuple[float, float]:
-    """Sample mean and standard deviation (n-1 denominator; sd 0 for n=1)."""
-    v = as_float_vector(values)
-    sd = float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
-    return float(np.mean(v)), sd
-
-
 @dataclass(frozen=True)
 class QuartileBand:
     """Quartiles of one sample plus the 1.5*IQR fences."""
@@ -127,65 +120,6 @@ def band_slope(curve: BandCurve) -> float:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Equal-width count histogram; bins right-open except the last."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin_edges must be strictly increasing")
-        if len(self.bin_edges) != len(self.counts) + 1:
-            raise ValueError("need len(bin_edges) == len(counts) + 1")
-        if int(np.sum(self.counts)) != self.n:
-            raise ValueError("counts must sum to n")
-
-    @property
-    def bin_width(self) -> float:
-        return float((self.bin_edges[-1] - self.bin_edges[0]) / len(self.counts))
-
-
-def histogram(values, bins: int | None = None) -> Histogram:
-    """Histogram over [min, max] with ceil(sqrt(n)) bins by default.
-
-    A constant sample gets a single unit-width bin centered on it.
-    """
-    v = as_float_vector(values)
-    n = len(v)
-    if bins is None:
-        bins = math.ceil(math.sqrt(n))
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    vmin, vmax = float(v.min()), float(v.max())
-    if vmin == vmax:
-        return Histogram(bin_edges=np.array([vmin - 0.5, vmax + 0.5]),
-                         counts=np.array([n]), n=n)
-    edges = np.linspace(vmin, vmax, bins + 1)
-    counts, _ = np.histogram(v, bins=edges)
-    return Histogram(bin_edges=edges, counts=counts, n=n)
-
-
-def gaussian_overlay(mean: float, sd: float, hist: Histogram,
-                     points_per_bin: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Expected-count Gaussian curve to superimpose on a count histogram.
-
-    Returns (x, y) with ``y = n * bin_width * pdf((x - mean) / sd) / sd``
-    sampled at ``points_per_bin`` points per bin across the histogram span.
-    """
-    if sd <= 0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    if points_per_bin < 1:
-        raise ValueError(f"points_per_bin must be >= 1, got {points_per_bin}")
-    k = len(hist.counts)
-    xs = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], k * points_per_bin + 1)
-    z = (xs - mean) / sd
-    ys = hist.n * hist.bin_width * (np.exp(-0.5 * z * z) / _SQRT_2PI) / sd
-    return xs, ys
-
-
-@dataclass(frozen=True)
 class BoxplotSummary:
     """Box-and-whisker statistics of one sample."""
 
@@ -213,27 +147,49 @@ def boxplot_summary(values) -> BoxplotSummary:
                           outliers=outliers)
 
 
-def distribution_report(values, bins: int | None = None,
-                        points_per_bin: int = 16) -> dict:
+def distribution_report(values, bins: int | None = None) -> dict:
     """Histogram + boxplot + Gaussian overlay as one JSON-ready document.
 
-    The overlay uses the sample's own mean and standard deviation; it is
+    The histogram has ``bins`` equal bins over [min, max], ceil(sqrt(n))
+    by default, each right-open except the last; a constant sample gets
+    one unit-width bin centered on it.  The overlay is the expected-count
+    curve ``n * bin_width * pdf((x - mean) / sd) / sd`` at 16 points per
+    bin, from the sample's own mean and n-1 standard deviation; it is
     ``None`` for constant samples (sd = 0).
     """
     v = as_float_vector(values)
-    hist = histogram(v, bins=bins)
-    box = boxplot_summary(v)
-    mean, sd = mean_sd(v)
+    n = len(v)
+    if bins is None:
+        bins = math.ceil(math.sqrt(n))
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    low, high = float(v.min()), float(v.max())
+    # in the sample's own order: a sorted copy sums in another order
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = float(np.mean(v)), float(np.std(v, ddof=1)) if n > 1 else 0.0
+    if not all(map(math.isfinite, (high - low, mean, sd))):
+        raise ValueError("the sample's range, mean or sd overflows a float")
+    if low == high:
+        edges, counts = np.array([low - 0.5, high + 0.5]), np.array([n])
+    else:
+        edges = np.linspace(low, high, bins + 1)
+        if np.any(np.diff(edges) <= 0):
+            raise ValueError("bin_edges must be strictly increasing")
+        counts, _ = np.histogram(v, bins=edges)
     overlay = None
     if sd > 0:
-        ox, oy = gaussian_overlay(mean, sd, hist, points_per_bin=points_per_bin)
-        overlay = {"x": ox.tolist(), "y": oy.tolist()}
+        xs = np.linspace(edges[0], edges[-1], len(counts) * 16 + 1)
+        z = (xs - mean) / sd
+        width = float((edges[-1] - edges[0]) / len(counts))
+        ys = n * width * (np.exp(-0.5 * z * z) / _SQRT_2PI) / sd
+        overlay = {"x": xs.tolist(), "y": ys.tolist()}
+    box = boxplot_summary(v)
     return {
-        "n": int(len(v)),
+        "n": n,
         "mean": mean,
         "sd": sd,
-        "bin_edges": hist.bin_edges.tolist(),
-        "counts": hist.counts.tolist(),
+        "bin_edges": edges.tolist(),
+        "counts": counts.tolist(),
         "overlay": overlay,
         "box": {
             "q1": box.q1,

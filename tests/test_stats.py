@@ -7,15 +7,11 @@ from predbands.dataset import Grid, make_grid
 from predbands.montecarlo import PredictionMatrix
 from predbands.rng import Rng
 from predbands.stats import (
-    Histogram,
     QuartileBand,
     band_curve,
     band_slope,
     boxplot_summary,
     distribution_report,
-    gaussian_overlay,
-    histogram,
-    mean_sd,
     quantile,
     quartile_band,
 )
@@ -174,76 +170,73 @@ class TestBandSlope:
 
 class TestHistogram:
     def test_two_bin_example(self):
-        hist = histogram([0.0, 1.0, 2.0, 3.0], bins=2)
-        assert hist.bin_edges.tolist() == [0.0, 1.5, 3.0]
-        assert hist.counts.tolist() == [2, 2]
+        doc = distribution_report([0.0, 1.0, 2.0, 3.0], bins=2)
+        assert doc["bin_edges"] == [0.0, 1.5, 3.0]
+        assert doc["counts"] == [2, 2]
 
     def test_right_open_except_last(self):
-        hist = histogram([0.0, 1.0, 2.0], bins=2)
+        doc = distribution_report([0.0, 1.0, 2.0], bins=2)
         # 1.0 sits exactly on the middle edge and belongs to the right bin
-        assert hist.counts.tolist() == [1, 2]
+        assert doc["counts"] == [1, 2]
 
     def test_constant_sample_gets_one_bin(self):
-        hist = histogram([5.0] * 12)
-        assert hist.counts.tolist() == [12]
-        assert hist.bin_edges.tolist() == [4.5, 5.5]
+        doc = distribution_report([5.0] * 12)
+        assert doc["counts"] == [12]
+        assert doc["bin_edges"] == [4.5, 5.5]
 
     def test_default_bin_count_is_sqrt_rule(self):
-        hist = histogram(Rng(9).normals(100))
-        assert len(hist.counts) == 10
-        hist = histogram(Rng(9).normals(50))
-        assert len(hist.counts) == 8  # ceil(sqrt(50))
+        doc = distribution_report(Rng(9).normals(100))
+        assert len(doc["counts"]) == 10
+        doc = distribution_report(Rng(9).normals(50))
+        assert len(doc["counts"]) == 8  # ceil(sqrt(50))
 
     def test_counts_always_sum_to_n(self):
         rng = Rng(10)
         for trial in range(20):
             v = rng.normals(5 + 13 * trial)
-            hist = histogram(v)
-            assert hist.counts.sum() == len(v)
+            doc = distribution_report(v)
+            assert sum(doc["counts"]) == doc["n"] == len(v)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            histogram([1.0, 2.0], bins=0)
+            distribution_report([1.0, 2.0], bins=0)
         with pytest.raises(ValueError):
-            histogram([])
-        with pytest.raises(ValueError):
-            Histogram(bin_edges=np.array([0.0, 1.0]), counts=np.array([3]), n=4)
+            distribution_report([])
+        # two adjacent doubles have no room for a middle edge
+        with pytest.raises(ValueError, match="strictly increasing"):
+            distribution_report([1.0, np.nextafter(1.0, 2.0)])
 
 
 class TestGaussianOverlay:
     def test_peak_ordinate_at_mean(self):
-        hist = Histogram(bin_edges=np.array([-1.0, 0.0, 1.0]),
-                         counts=np.array([3, 5]), n=8)
-        xs, ys = gaussian_overlay(0.0, 1.0, hist, points_per_bin=8)
-        at_mean = ys[xs == 0.0]
-        expected = 8 * 1.0 / (1.0 * np.sqrt(2.0 * np.pi))
-        assert at_mean[0] == pytest.approx(expected, rel=1e-12)
+        doc = distribution_report([-1.0, 1.0])
+        assert (doc["mean"], doc["bin_edges"]) == (0.0, [-1.0, 0.0, 1.0])
+        assert doc["sd"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        xs, ys = doc["overlay"]["x"], doc["overlay"]["y"]
+        assert xs[16] == 0.0
+        expected = 2 * 1.0 / (np.sqrt(2.0) * np.sqrt(2.0 * np.pi))
+        assert ys[16] == pytest.approx(expected, rel=1e-12)
 
     def test_unit_mass_peak_value(self):
-        # n * bin_width = 1 with sd 10 gives 1 / (10 sqrt(2 pi))
-        hist = Histogram(bin_edges=np.array([-0.5, 0.5]), counts=np.array([1]), n=1)
-        xs, ys = gaussian_overlay(0.0, 10.0, hist, points_per_bin=2)
-        assert ys[xs == 0.0][0] == pytest.approx(0.03989422804014327, rel=1e-9)
+        # sd 10, and n * bin_width = 3 * 20 / 60 = 1, give 1 / (10 sqrt(2 pi))
+        doc = distribution_report([-10.0, 0.0, 10.0], bins=60)
+        assert doc["sd"] == 10.0
+        xs, ys = doc["overlay"]["x"], doc["overlay"]["y"]
+        assert xs[480] == pytest.approx(0.0, abs=1e-12)
+        assert ys[480] == pytest.approx(0.03989422804014327, rel=1e-9)
 
     def test_symmetry(self):
-        hist = Histogram(bin_edges=np.array([-2.0, 0.0, 2.0]),
-                         counts=np.array([1, 1]), n=2)
-        xs, ys = gaussian_overlay(0.0, 1.3, hist, points_per_bin=10)
+        doc = distribution_report([-2.0, -0.5, 0.5, 2.0], bins=2)
+        assert doc["bin_edges"] == [-2.0, 0.0, 2.0]
+        ys = np.array(doc["overlay"]["y"])
         assert np.allclose(ys, ys[::-1], rtol=1e-12)
 
     def test_span_and_density(self):
-        hist = histogram(Rng(11).normals(64))
-        xs, ys = gaussian_overlay(0.0, 1.0, hist, points_per_bin=16)
-        assert xs[0] == hist.bin_edges[0]
-        assert xs[-1] == hist.bin_edges[-1]
-        assert len(xs) == len(hist.counts) * 16 + 1
-
-    def test_validation(self):
-        hist = histogram([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            gaussian_overlay(0.0, 0.0, hist)
-        with pytest.raises(ValueError):
-            gaussian_overlay(0.0, 1.0, hist, points_per_bin=0)
+        doc = distribution_report(Rng(11).normals(64))
+        xs = doc["overlay"]["x"]
+        assert xs[0] == doc["bin_edges"][0]
+        assert xs[-1] == doc["bin_edges"][-1]
+        assert len(xs) == len(doc["counts"]) * 16 + 1
 
 
 class TestBoxplotSummary:
@@ -273,15 +266,17 @@ class TestBoxplotSummary:
 
 class TestMeanSd:
     def test_single_value(self):
-        assert mean_sd([5.0]) == (5.0, 0.0)
+        doc = distribution_report([5.0])
+        assert (doc["mean"], doc["sd"]) == (5.0, 0.0)
 
     def test_two_values_use_n_minus_one(self):
-        m, s = mean_sd([0.0, 2.0])
-        assert m == 1.0
-        assert s == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        doc = distribution_report([0.0, 2.0])
+        assert doc["mean"] == 1.0
+        assert doc["sd"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_constant(self):
-        assert mean_sd([1.0, 1.0, 1.0, 1.0]) == (1.0, 0.0)
+        doc = distribution_report([1.0, 1.0, 1.0, 1.0])
+        assert (doc["mean"], doc["sd"]) == (1.0, 0.0)
 
 
 class TestDistributionReport:
