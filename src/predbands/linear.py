@@ -11,7 +11,8 @@ from .base import as_float_vector, check_fitted, check_xy
 
 
 class SingularFitError(ValueError):
-    """Raised when the design is degenerate (all x values identical).
+    """Raised when the design is degenerate (all x values identical), or
+    when a single fit's sums or standard errors overflow a float.
 
     ``row`` is the first degenerate row of a batched fit.
     """
@@ -90,16 +91,17 @@ class LinearRegression:
 
     def fit(self, x, y) -> "LinearRegression":
         xs, ys = check_xy(x, y)
-        line = LineFits(*(float(v[0]) for v in fit_lines(xs[None], ys[None])))
-        s, sxx = line.residual_se, line.sxx
-        self.intercept_ = line.intercept
-        self.slope_ = line.slope
-        self.residual_se_ = s
-        self.slope_se_ = s / np.sqrt(sxx)
-        self.intercept_se_ = s * np.sqrt(1.0 / len(xs) + line.x_mean ** 2 / sxx)
+        # numpy scalars: a Python float's ** raises OverflowError instead of giving inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope, intercept, s, x_mean, sxx = (v[0] for v in fit_lines(xs[None], ys[None]))
+            slope_se = s / np.sqrt(sxx)
+            intercept_se = s * np.sqrt(1.0 / len(xs) + x_mean ** 2 / sxx)
+        values = slope, intercept, s, slope_se, intercept_se, x_mean, sxx
+        if not np.all(np.isfinite(values)):
+            raise SingularFitError("the least squares sums overflow a float")
+        (self.slope_, self.intercept_, self.residual_se_, self.slope_se_,
+         self.intercept_se_, self.x_mean_, self.sxx_) = map(float, values)
         self.n_ = len(xs)
-        self.x_mean_ = line.x_mean
-        self.sxx_ = sxx
         return self
 
     def predict(self, x) -> np.ndarray:

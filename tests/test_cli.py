@@ -537,6 +537,44 @@ class TestUsageErrors:
         assert not caught and "Warning" not in err
         assert os.listdir(out_dir) == []
 
+    @staticmethod
+    def run_and_check_one_line_error(capsys, tmp_path, *argv):
+        """Run argv with an output path; check one error line, no warning, no file."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir(exist_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--output", str(out_dir / "o"))
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "overflow" in err
+        assert not caught and "Warning" not in err
+        assert os.listdir(out_dir) == []
+        return code
+
+    @pytest.mark.parametrize("data", [
+        GenConfig(x_low=0.0, x_high=1e200),  # sxx overflows
+        [(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)],  # the squared residuals overflow
+        [(1e200, 1.0), (-1e200, 2.0), (0.0, 3.0)],  # sxx overflows, leaving slope -0.0
+        [(1e160 * (1 + i * 1e-9), float(i)) for i in range(10)],  # x_mean ** 2 overflows
+    ], ids=["generated", "huge y", "huge x", "x_mean squared"])
+    def test_overflowing_fit_is_a_one_line_error(self, capsys, tmp_path, data):
+        path = tmp_path / "data.csv"
+        if isinstance(data, GenConfig):
+            write_csv(path, generate_dataset(data))
+        else:
+            path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in data))
+        assert self.run_and_check_one_line_error(capsys, tmp_path, "fit", str(path)) == 2
+        # without --output the fit used to print its report and exit 0
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+    @pytest.mark.parametrize("values", [[1e308, -1e308], [1e308, 1e308, 9e307]],
+                             ids=["range", "mean"])
+    def test_overflowing_report_is_a_one_line_error(self, capsys, tmp_path, values):
+        path = tmp_path / "values.csv"
+        path.write_text("v\n" + "".join(f"{v!r}\n" for v in values))
+        assert self.run_and_check_one_line_error(capsys, tmp_path, "report", str(path)) == 1
+
 
 def run_fresh(args, **env_changes):
     """Run ``python *args`` in a fresh interpreter that imports this predbands.
