@@ -174,7 +174,7 @@ def distribution_report(values, bins: int | None = None) -> dict:
     else:
         edges = np.linspace(low, high, bins + 1)
         if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin_edges must be strictly increasing")
+            raise ValueError(f"the sample's range is too narrow for {bins} bins")
         counts, _ = np.histogram(v, bins=edges)
     overlay = None
     if sd > 0:
