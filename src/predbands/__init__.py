@@ -25,8 +25,8 @@ _SOURCE = {
         "montecarlo": ("CoefficientSamples", "PredictionMatrix", "ReplicationError",
                        "StudyConfig", "StudyResult", "WorkerError", "run_study"),
         "rng": ("Rng", "derive_seed"),
-        "stats": ("BandCurve", "BoxplotSummary", "QuartileBand", "band_curve", "band_slope",
-                  "boxplot_summary", "distribution_report", "quantile", "quartile_band"),
+        "stats": ("BandCurve", "QuartileBand", "band_curve", "band_slope",
+                  "distribution_report", "quantile", "quartile_band"),
     }.items()
     for name in names
 }

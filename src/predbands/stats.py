@@ -119,40 +119,14 @@ def band_slope(curve: BandCurve) -> float:
     return LinearRegression().fit(curve.grid.points, curve.median).slope_
 
 
-@dataclass(frozen=True)
-class BoxplotSummary:
-    """Box-and-whisker statistics of one sample."""
-
-    q1: float
-    median: float
-    q3: float
-    whisker_low: float
-    whisker_high: float
-    outliers: np.ndarray
-
-
-def boxplot_summary(values) -> BoxplotSummary:
-    """Quartiles, whiskers at the most extreme points inside the fences,
-    and the sorted points strictly outside them."""
-    v = np.sort(as_float_vector(values))
-    band = QuartileBand(*(float(f) for f in _fences(v)))
-    inside = v[(v >= band.low) & (v <= band.high)]
-    # Fences always contain some data point, but fall back to the box
-    # edges rather than crash on a pathological sample.
-    whisker_low = float(inside[0]) if len(inside) else band.q1
-    whisker_high = float(inside[-1]) if len(inside) else band.q3
-    outliers = v[(v < band.low) | (v > band.high)]
-    return BoxplotSummary(q1=band.q1, median=band.median, q3=band.q3,
-                          whisker_low=whisker_low, whisker_high=whisker_high,
-                          outliers=outliers)
-
-
 def distribution_report(values, bins: int | None = None) -> dict:
     """Histogram + boxplot + Gaussian overlay as one JSON-ready document.
 
     The histogram has ``bins`` equal bins over [min, max], ceil(sqrt(n))
     by default, each right-open except the last; a constant sample gets
-    one unit-width bin centered on it.  The overlay is the expected-count
+    one unit-width bin centered on it.  The box holds the quartiles,
+    whiskers at the most extreme points inside the 1.5*IQR fences, and
+    the sorted points strictly outside them.  The overlay is the expected-count
     curve ``n * bin_width * pdf((x - mean) / sd) / sd`` at 16 points per
     bin, from the sample's own mean and n-1 standard deviation; it is
     ``None`` for constant samples (sd = 0).
@@ -183,7 +157,9 @@ def distribution_report(values, bins: int | None = None) -> dict:
         width = float((edges[-1] - edges[0]) / len(counts))
         ys = n * width * (np.exp(-0.5 * z * z) / _SQRT_2PI) / sd
         overlay = {"x": xs.tolist(), "y": ys.tolist()}
-    box = boxplot_summary(v)
+    s = np.sort(v)
+    q1, median, q3, _, fence_low, fence_high = (float(f) for f in _fences(s))
+    inside = s[(s >= fence_low) & (s <= fence_high)]
     return {
         "n": n,
         "mean": mean,
@@ -192,11 +168,13 @@ def distribution_report(values, bins: int | None = None) -> dict:
         "counts": counts.tolist(),
         "overlay": overlay,
         "box": {
-            "q1": box.q1,
-            "median": box.median,
-            "q3": box.q3,
-            "whisker_low": box.whisker_low,
-            "whisker_high": box.whisker_high,
-            "outliers": box.outliers.tolist(),
+            "q1": q1,
+            "median": median,
+            "q3": q3,
+            # Fences always contain some data point, but fall back to the box
+            # edges rather than crash on a pathological sample.
+            "whisker_low": float(inside[0]) if len(inside) else q1,
+            "whisker_high": float(inside[-1]) if len(inside) else q3,
+            "outliers": s[(s < fence_low) | (s > fence_high)].tolist(),
         },
     }

@@ -19,7 +19,7 @@ from predbands.forest import DecisionTreeRegressor, ForestParams
 from predbands.linear import LinearRegression
 from predbands.montecarlo import StudyConfig, run_study
 from predbands.rng import Rng
-from predbands.stats import band_curve, band_slope, boxplot_summary, quantile, quartile_band
+from predbands.stats import band_curve, band_slope, distribution_report, quantile, quartile_band
 
 from test_forest import exhaustive_tree_oracle
 from test_linear import normal_equations_oracle
@@ -139,8 +139,8 @@ def test_criterion_6_long_tails_at_the_edges(forest_study_full):
     config, result, _ = forest_study_full
     with criterion(6, "forest prediction columns at 150 and 200 have outliers"):
         for x in (150.0, 200.0):
-            box = boxplot_summary(result.matrix.column_at(x))
-            assert len(box.outliers) >= 1, f"no outliers at x={x}"
+            box = distribution_report(result.matrix.column_at(x))["box"]
+            assert len(box["outliers"]) >= 1, f"no outliers at x={x}"
 
 
 def test_criterion_7_oracle_equivalence():

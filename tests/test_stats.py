@@ -10,7 +10,6 @@ from predbands.stats import (
     QuartileBand,
     band_curve,
     band_slope,
-    boxplot_summary,
     distribution_report,
     quantile,
     quartile_band,
@@ -241,27 +240,28 @@ class TestGaussianOverlay:
 
 class TestBoxplotSummary:
     def test_no_outliers(self):
-        box = boxplot_summary([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert box.outliers.tolist() == []
-        assert (box.whisker_low, box.whisker_high) == (1.0, 5.0)
+        box = distribution_report([1.0, 2.0, 3.0, 4.0, 5.0])["box"]
+        assert box["outliers"] == []
+        assert (box["whisker_low"], box["whisker_high"]) == (1.0, 5.0)
 
     def test_detects_far_point(self):
-        box = boxplot_summary([1.0, 2.0, 3.0, 4.0, 100.0])
-        assert box.outliers.tolist() == [100.0]
-        assert box.whisker_high == 4.0
-        assert box.whisker_low == 1.0
+        box = distribution_report([1.0, 2.0, 3.0, 4.0, 100.0])["box"]
+        assert box["outliers"] == [100.0]
+        assert box["whisker_high"] == 4.0
+        assert box["whisker_low"] == 1.0
 
     def test_constant_sample(self):
-        box = boxplot_summary([3.0, 3.0, 3.0])
-        assert box.whisker_low == box.whisker_high == 3.0
-        assert box.outliers.tolist() == []
+        box = distribution_report([3.0, 3.0, 3.0])["box"]
+        assert box["whisker_low"] == box["whisker_high"] == 3.0
+        assert box["outliers"] == []
 
     def test_outliers_sorted_and_strictly_outside(self):
         v = np.concatenate([Rng(12).normals(200), [-50.0, 60.0, 55.0]])
-        box = boxplot_summary(v)
-        assert box.outliers.tolist() == sorted(box.outliers.tolist())
-        assert np.all((box.outliers < box.q1 - 1.5 * (box.q3 - box.q1))
-                      | (box.outliers > box.q3 + 1.5 * (box.q3 - box.q1)))
+        box = distribution_report(v)["box"]
+        outliers = np.array(box["outliers"])
+        assert box["outliers"] == sorted(box["outliers"])
+        assert np.all((outliers < box["q1"] - 1.5 * (box["q3"] - box["q1"]))
+                      | (outliers > box["q3"] + 1.5 * (box["q3"] - box["q1"])))
 
 
 class TestMeanSd:
