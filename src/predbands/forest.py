@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .base import ForestParams, as_float_vector, check_fitted, check_xy
+from .linear import SingularFitError
 from .rng import Streams, stream_seeds
 
 
@@ -113,12 +114,21 @@ def fit_forests(xs: np.ndarray, ys: np.ndarray, params: ForestParams, seeds) -> 
     Tree t of row r is fit to the bootstrap sample drawn from the stream
     ``derive_seed(seeds[r], t)``, or to the row itself without bootstrap.
     Trees are grown in passes of at most ``_BATCH_ROWS`` drawn rows,
-    filled in (row, tree) order across row boundaries.
+    filled in (row, tree) order across row boundaries.  A row whose
+    targets' sums could overflow a float raises SingularFitError.
     """
     rows, n = xs.shape
     if n < params.min_samples_leaf:
         raise ValueError(
             f"need at least min_samples_leaf={params.min_samples_leaf} rows, got {n}")
+    # A split's score squares a sum of centred targets, and a bootstrap sample
+    # may draw a row's largest one n times: that sum's square must be finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = _median(ys)
+        largest = n * np.max(np.abs(ys - centre[:, None]), axis=1)
+        finite = np.isfinite(largest * largest)
+    if not finite.all():
+        raise SingularFitError("the targets' sums overflow a float", row=int(np.argmin(finite)))
     # Number each row's distinct x values from left to right.
     order = np.argsort(xs, axis=1)
     ordered = np.take_along_axis(xs, order, axis=1)
@@ -127,7 +137,7 @@ def fit_forests(xs: np.ndarray, ys: np.ndarray, params: ForestParams, seeds) -> 
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=rises[:, 1:])
     group = np.empty_like(rises)
     np.put_along_axis(group, order, np.cumsum(rises, axis=1, dtype=np.int32), axis=1)
-    data = _Block(xs.ravel(), ys.ravel(), group.ravel(), _median(ys), n)
+    data = _Block(xs.ravel(), ys.ravel(), group.ravel(), centre, n)
     tree_seeds = stream_seeds(seeds, range(params.n_trees)).ravel() if params.bootstrap else None
     total = rows * params.n_trees
     per_pass = max(1, _BATCH_ROWS // n)

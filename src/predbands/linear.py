@@ -12,9 +12,9 @@ from .base import as_float_vector, check_fitted, check_xy
 
 class SingularFitError(ValueError):
     """Raised when the design is degenerate (all x values identical), or
-    when a single fit's sums or standard errors overflow a float.
+    when a fit's sums, standard errors or holdout error overflow a float.
 
-    ``row`` is the first degenerate row of a batched fit.
+    ``row`` is the first failing row of a batched fit.
     """
 
     def __init__(self, message: str, row: int = 0):
@@ -42,7 +42,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_lines(xs: np.ndarray, ys: np.ndarray) -> LineFits:
-    """Ordinary least squares fit of every row of (rows, n) arrays xs and ys."""
+    """Ordinary least squares fit of every row of (rows, n) arrays xs and ys.
+
+    A row whose slope, intercept, ``s``, ``x_mean`` or ``sxx`` is not
+    finite, as when its sums overflow, raises SingularFitError.
+    """
     n = xs.shape[1]
     if n < 2:
         raise ValueError(f"need at least 2 observations to fit a line, got {n}")
@@ -61,7 +65,12 @@ def fit_lines(xs: np.ndarray, ys: np.ndarray) -> LineFits:
     intercept = y_mean - slope * x_mean
     residuals = ys - intercept[:, None] - slope[:, None] * xs
     s = np.sqrt(_row_dots(residuals, residuals) / (n - 2)) if n > 2 else np.zeros(len(xs))
-    return LineFits(slope, intercept, s, x_mean, sxx)
+    fits = LineFits(slope, intercept, s, x_mean, sxx)
+    finite = np.isfinite(fits).all(axis=0)
+    if not finite.all():
+        raise SingularFitError("the least squares sums overflow a float",
+                               row=int(np.argmin(finite)))
+    return fits
 
 
 @dataclass(eq=False)
@@ -96,9 +105,9 @@ class LinearRegression:
             slope, intercept, s, x_mean, sxx = (v[0] for v in fit_lines(xs[None], ys[None]))
             slope_se = s / np.sqrt(sxx)
             intercept_se = s * np.sqrt(1.0 / len(xs) + x_mean ** 2 / sxx)
-        values = slope, intercept, s, slope_se, intercept_se, x_mean, sxx
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(slope_se) or not np.isfinite(intercept_se):
             raise SingularFitError("the least squares sums overflow a float")
+        values = slope, intercept, s, slope_se, intercept_se, x_mean, sxx
         (self.slope_, self.intercept_, self.residual_se_, self.slope_se_,
          self.intercept_se_, self.x_mean_, self.sxx_) = map(float, values)
         self.n_ = len(xs)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .base import ForestParams
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
-from .linear import fit_lines
+from .linear import SingularFitError, fit_lines
 from .rng import stream_seeds
 from .table import read_table
 
@@ -192,6 +192,10 @@ def _replicate(config: StudyConfig, reps: range):
         if test_xs is not None:
             diff = test_ys - fits.predict(test_xs)
             holdout = np.mean(diff * diff, axis=-1)
+            finite = np.isfinite(holdout)
+            if not finite.all():
+                raise SingularFitError("the holdout mse overflows a float",
+                                       row=int(np.argmin(finite)))
         return rows, slopes, intercepts, holdout
     except Exception as exc:
         raise ReplicationError(reps[getattr(exc, "row", 0)], str(exc)) from exc
@@ -229,11 +233,14 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
                 holdout[at] = part[3]
 
     work = partial(_replicate, config)
-    if n_jobs == 1 or not hasattr(os, "fork"):
-        collect(map(work, blocks))
-    else:
-        with closing(_forked(work, blocks, n_jobs)) as parts:
-            collect(parts)
+    # No block warns of overflow: the fit kernels and the holdout check reject
+    # a row whose values are no longer finite.  Forked workers inherit this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_jobs == 1 or not hasattr(os, "fork"):
+            collect(map(work, blocks))
+        else:
+            with closing(_forked(work, blocks, n_jobs)) as parts:
+                collect(parts)
     coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
     return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
                        coefficients=coeffs)

@@ -106,7 +106,10 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     if rows.shape[0] < 2:
         raise ValueError(f"need at least 2 replications, got {rows.shape[0]}")
     # sd's matrix-sized temporary is freed before the sorted copy is made
-    mean, sd = np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1)
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise ValueError("the predictions' mean or sd overflows a float")
     return BandCurve(matrix.grid, *_fences(np.sort(rows, axis=0)), mean=mean, sd=sd)
 
 

@@ -467,6 +467,19 @@ class TestReport:
         assert code == 1
         assert "rows must be 2-D with 3 columns" in err
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("150.0\n1.0\n", ["--at-x", "150"], "line 1: grid needs at least 2 points"),
+        ("150.0,inf\n1.0,2.0\n", ["--at-x", "150"], "line 1: grid contains NaN or Inf"),
+        ("a,b\n1.0,2.0\n", ["--at-x", "150"], "line 1: could not convert"),
+        ("\n \n", [], "empty table: expected a header line"),
+    ], ids=["one grid point", "infinite grid point", "names", "blank file"])
+    def test_bad_header_is_a_one_line_error(self, capsys, tmp_path, text, flags, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", str(path), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
     def test_constant_column(self, capsys, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("value\n" + "7.5\n" * 12)
@@ -538,8 +551,11 @@ class TestUsageErrors:
         assert os.listdir(out_dir) == []
 
     @staticmethod
-    def run_and_check_one_line_error(capsys, tmp_path, *argv):
-        """Run argv with an output path; check one error line, no warning, no file."""
+    def run_and_check_one_line_error(capsys, tmp_path, *argv, naming=""):
+        """Run argv with an output path; check one error line, no warning, no file.
+
+        The line names overflow, and ``naming`` too.
+        """
         out_dir = tmp_path / "out"
         out_dir.mkdir(exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
@@ -547,26 +563,79 @@ class TestUsageErrors:
             code, out, err = run_cli(capsys, *argv, "--output", str(out_dir / "o"))
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "overflow" in err
+        assert naming in err
         assert not caught and "Warning" not in err
         assert os.listdir(out_dir) == []
         return code
 
-    @pytest.mark.parametrize("data", [
-        GenConfig(x_low=0.0, x_high=1e200),  # sxx overflows
-        [(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)],  # the squared residuals overflow
-        [(1e200, 1.0), (-1e200, 2.0), (0.0, 3.0)],  # sxx overflows, leaving slope -0.0
-        [(1e160 * (1 + i * 1e-9), float(i)) for i in range(10)],  # x_mean ** 2 overflows
-    ], ids=["generated", "huge y", "huge x", "x_mean squared"])
-    def test_overflowing_fit_is_a_one_line_error(self, capsys, tmp_path, data):
+    FOREST = ["--model", "forest", "--trees", "5"]
+
+    @pytest.mark.parametrize("data, flags", [
+        (GenConfig(x_low=0.0, x_high=1e200), []),  # sxx overflows
+        ([(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)], []),  # the squared residuals overflow
+        ([(1e200, 1.0), (-1e200, 2.0), (0.0, 3.0)], []),  # sxx overflows, leaving slope -0.0
+        ([(1e160 * (1 + i * 1e-9), float(i)) for i in range(10)], []),  # x_mean ** 2 overflows
+        # the grower's prefix sums and scores overflow, then it indexed an empty array
+        ([(float(i), (-1) ** i * 1e308) for i in range(10)], FOREST),
+        # the scores overflow, and splits were chosen among them
+        (GenConfig(x_low=0.0, x_high=1e200), FOREST),
+        # the row's sums are finite, but a bootstrap sample that draws the spike
+        # twice squares 2e154
+        ([(float(i), 1e154 if i == 9 else 0.0) for i in range(10)], FOREST),
+    ], ids=["generated", "huge y", "huge x", "x_mean squared",
+            "forest huge y", "forest generated", "forest drawn twice"])
+    def test_overflowing_fit_is_a_one_line_error(self, capsys, tmp_path, data, flags):
         path = tmp_path / "data.csv"
         if isinstance(data, GenConfig):
             write_csv(path, generate_dataset(data))
         else:
             path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in data))
-        assert self.run_and_check_one_line_error(capsys, tmp_path, "fit", str(path)) == 2
+        assert self.run_and_check_one_line_error(capsys, tmp_path, "fit", str(path),
+                                                 *flags) == 2
         # without --output the fit used to print its report and exit 0
-        code, out, err = run_cli(capsys, "fit", str(path))
+        code, out, err = run_cli(capsys, "fit", str(path), *flags)
         assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("flags, replication", [
+        # these two printed numpy warnings, then a matrix of NaN or Inf (exit 1)
+        (["--intercept", "1e308", "--slope", "1e308", "--replications", "5"], 0),
+        (["--noise-sigma", "1e308", "--replications", "5"], 0),
+        # sxx overflowed and the study wrote slopes of -0.0
+        (["--x-min", "0", "--x-max", "1e200", "--slope", "0", "--replications", "5"], 0),
+        # s overflows; the study wrote inf in test_mse
+        (["--intercept", "1e200", "--noise-sigma", "1e160", "--test-fraction", "0.2",
+          "--replications", "5"], 0),
+        # every band row had sd = inf
+        (["--x-min", "0", "--x-max", "1e200", "--replications", "4", *FOREST], 0),
+        # replication 1's trees fit, but its holdout mse overflows
+        (["--samples", "4", "--test-fraction", "0.5", "--min-leaf", "1", "--slope", "6e152",
+          "--replications", "2", "--model", "forest", "--trees", "1"], 1),
+    ], ids=["huge line", "huge noise", "huge x", "huge holdout", "forest huge x",
+            "forest holdout"])
+    def test_overflowing_study_is_a_one_line_error(self, capsys, tmp_path, flags,
+                                                   replication, threads):
+        assert self.run_and_check_one_line_error(
+            capsys, tmp_path, "study", *flags, "--threads", threads,
+            naming=f"error: replication {replication}: ") == 2
+
+    def test_overflowing_band_is_a_one_line_error(self, capsys, tmp_path):
+        # every fit is finite, but the spread of 1000 predictions at a grid
+        # point squares past a float; the band file had sd = inf
+        assert self.run_and_check_one_line_error(
+            capsys, tmp_path, "study", "--samples", "3", "--noise-sigma", "1e153",
+            naming="the predictions' mean or sd") == 1
+
+    def test_overflow_in_a_forked_worker_warns_nowhere(self, tmp_path):
+        # a worker's warnings go to the real stderr, which only a fresh process shows
+        with pytest.raises(subprocess.CalledProcessError) as info:
+            run_fresh(["-m", "predbands.cli", "study", "--noise-sigma", "1e308",
+                       "--replications", "5", "--threads", "2",
+                       "--output", str(tmp_path / "o")])
+        assert info.value.returncode == 2
+        assert info.value.stderr == (
+            "error: replication 0: the least squares sums overflow a float\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("values", [[1e308, -1e308], [1e308, 1e308, 9e307]],
                              ids=["range", "mean"])

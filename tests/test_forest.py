@@ -7,7 +7,8 @@ import pytest
 
 from predbands.dataset import GenConfig, generate_dataset, generate_rows, make_grid, split_rows
 from predbands.forest import (DecisionTreeRegressor, ForestFits, ForestParams,
-                              RandomForestRegressor)
+                              RandomForestRegressor, fit_forests)
+from predbands.linear import SingularFitError
 from predbands.montecarlo import StudyConfig, run_study
 from predbands.rng import Rng, derive_seed
 
@@ -214,6 +215,26 @@ class TestRandomForest:
             RandomForestRegressor(n_trees=0).fit([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             ForestParams(min_samples_leaf=0)
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            ForestParams(max_depth=-1)
+
+    def test_single_column_x_equals_a_vector_and_two_columns_are_rejected(self):
+        data = generate_dataset(GenConfig(seed=31))
+        column = RandomForestRegressor(n_trees=10, seed=4).fit(data.xs[:, None], data.ys)
+        vector = RandomForestRegressor(n_trees=10, seed=4).fit(data.xs, data.ys)
+        grid = np.linspace(150.0, 200.0, 11)
+        assert np.array_equal(column.predict(grid[:, None]), vector.predict(grid))
+        with pytest.raises(ValueError, match="x must be 1-D"):
+            RandomForestRegressor().fit(np.column_stack([data.xs, data.xs]), data.ys)
+
+    def test_block_names_its_first_row_whose_sums_overflow(self):
+        xs = np.tile(np.arange(10.0), (3, 1))
+        ys = np.zeros((3, 10))
+        ys[1, 9] = 1e154  # drawn n times, its square overflows
+        ys[2] = 1e308
+        with pytest.raises(SingularFitError, match="overflow") as info:
+            fit_forests(xs, ys, ForestParams(n_trees=3), [0, 1, 2])
+        assert info.value.row == 1
 
 
 class TestMse:

@@ -119,6 +119,26 @@ class TestFit:
         with pytest.raises(ValueError):
             LinearRegression().fit([1.0], [1.0])
 
+    def test_variance_that_underflows_to_zero_raises(self):
+        # the x values differ, but their squared deviations underflow
+        with pytest.raises(SingularFitError, match="x has zero variance"):
+            fit_lines(np.array([[0.0, 5e-324, 0.0]]), np.ones((1, 3)))
+
+    def test_batched_fit_names_its_first_overflowing_row(self):
+        xs = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1e200, -1e200]])
+        with pytest.raises(SingularFitError, match="overflow") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            fit_lines(xs, np.array([[1.0, 2.0, 3.0], [1.0, 1e308, -1e308], [1.0, 2.0, 3.0]]))
+        assert info.value.row == 1
+
+    def test_single_column_x_equals_a_vector_and_two_columns_are_rejected(self):
+        xs, ys = random_dataset(5)
+        column = LinearRegression().fit(xs[:, None], ys)
+        vector = LinearRegression().fit(xs, ys)
+        assert vars(column) == vars(vector)
+        with pytest.raises(ValueError, match="x must be 1-D"):
+            LinearRegression().fit(np.column_stack([xs, xs]), ys)
+
     def test_batched_fit_names_its_first_degenerate_row(self):
         xs = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [5.0, 5.0, 5.0]])
         with pytest.raises(SingularFitError) as info:
