@@ -147,7 +147,8 @@ def split_rows(xs: np.ndarray, ys: np.ndarray, test_fraction: float, seeds):
     Fractions that leave either part empty are rejected.
     """
     n = xs.shape[1]
-    n_test = int(round(n * test_fraction))
+    # nan and inf leave a part empty too, without reaching round()
+    n_test = int(round(n * test_fraction)) if 0.0 < test_fraction < 1.0 else 0
     if n_test < 1 or n_test > n - 1:
         raise ValueError(
             f"test_fraction {test_fraction} leaves an empty part for n={n}")

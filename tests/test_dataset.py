@@ -156,6 +156,9 @@ class TestSplitTrainTest:
             split_rows(xs, ys, 0.99, [1])   # rounds to zero train rows
         with pytest.raises(ValueError):
             split_rows(xs, ys, 1.5, [1])
+        for fraction in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="leaves an empty part"):
+                split_rows(xs, ys, fraction, [1])
 
     def test_each_row_lands_in_test_at_the_right_rate(self):
         data = generate_dataset(GenConfig(n_samples=100, seed=4))
