@@ -135,7 +135,9 @@ def generate_rows(config: GenConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
 
 def generate_dataset(config: GenConfig) -> Dataset:
     """Draw one dataset from the configured process, deterministically."""
-    xs, ys = generate_rows(config, [config.seed])
+    # Dataset rejects a y that overflowed, so the overflow need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = generate_rows(config, [config.seed])
     return Dataset(xs[0], ys[0])
 
 

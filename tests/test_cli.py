@@ -535,6 +535,9 @@ class TestUsageErrors:
         (["generate", "--x-min", "-inf"], "x_low"),
         (["generate", "--x-min", "-NaN"], "x_low"),
         (["fit", "{data}", "--x-max", "1e308"], "mean band"),  # (x - x_mean)**2 overflows
+        # y overflows; numpy's warnings came first
+        (["generate", "--intercept", "1e308", "--slope", "1e308"], "y contains NaN or Inf"),
+        (["generate", "--noise-sigma", "1e308"], "y contains NaN or Inf"),
     ])
     def test_non_finite_value_is_a_one_line_error(self, capsys, tmp_path, argv, field):
         data = tmp_path / "data.csv"
