@@ -129,10 +129,10 @@ def distribution_report(values, bins: int | None = None) -> dict:
     by default, each right-open except the last; a constant sample gets
     one unit-width bin centered on it.  The box holds the quartiles,
     whiskers at the most extreme points inside the 1.5*IQR fences, and
-    the sorted points strictly outside them.  The overlay is the expected-count
-    curve ``n * bin_width * pdf((x - mean) / sd) / sd`` at 16 points per
-    bin, from the sample's own mean and n-1 standard deviation; it is
-    ``None`` for constant samples (sd = 0).
+    the sorted points strictly outside them.  The overlay is the
+    expected-count curve ``n * bin_width * pdf((x - mean) / sd) / sd`` at
+    16 points per bin, from the sample's own mean and n-1 standard
+    deviation; it is ``None`` for constant samples (sd = 0).
     """
     v = as_float_vector(values)
     n = len(v)
