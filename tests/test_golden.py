@@ -54,10 +54,10 @@ def run_quietly(argv):
         assert cli_main(argv) == 0
 
 
-def study_hashes(tmp_path, name, flags):
+def study_hashes(tmp_path, name, flags, suffixes=SUFFIXES):
     run_quietly(["study", "--emit-matrix", "--output", str(tmp_path / name)] + flags)
     return {suffix: hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
-            for suffix in SUFFIXES}
+            for suffix in suffixes}
 
 
 def test_linear_default_study(tmp_path):
@@ -74,7 +74,7 @@ def test_holdout_study(tmp_path, threads):
     assert got == HOLDOUT
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_small_forest_study(tmp_path, threads):
     got = study_hashes(tmp_path, "forest", FOREST_FLAGS + ["--threads", threads])
     assert got == FOREST_SMALL
@@ -84,6 +84,41 @@ def test_small_forest_study(tmp_path, threads):
 def test_forest_holdout_study(tmp_path, threads):
     got = study_hashes(tmp_path, "forest", FOREST_HOLDOUT_FLAGS + ["--threads", threads])
     assert got == FOREST_HOLDOUT
+
+
+# Studies that cross branches the configs above leave unpinned.
+BRANCHES = {
+    # the polar method discards the second normal of each row's last pair
+    "odd_samples": (["--samples", "37"], {
+        "_bands.csv": "df5e4cae827bfc78f6b16e29915c5fe196ddfb27a02efcb66e83fad0fac8a9b8",
+        "_coefficients.csv": "589fc543850f86f923a47672944d6da2d65d6f8297938377fd91c754ea8565e8",
+        "_matrix.csv": "8162aa7ea339dbaa948a65b2dc9944a7c7f50736698e8addc31d7565dbe0c238",
+    }),
+    # a block holds at most 8192 values, so each replication is a block of one
+    "one_per_block": (["--samples", "8193", "--replications", "3"], {
+        "_bands.csv": "d39ac85c3ceaf8477aac1be64a8fa7a44cce198397c5316f260d9865309017ea",
+        "_coefficients.csv": "b422cae5dfba73f8541b0a36db6683fb466a74360eb211713b155a568071b115",
+        "_matrix.csv": "9b2f3f327f1d8eacfe8c4018cd6f6a3edac7d1cd0370fd3c67023959a97e7972",
+    }),
+    # a depth cap of 3 stops trees that would grow deeper
+    "forest_max_depth": (FOREST_FLAGS + ["--max-depth", "3"], {
+        "_bands.csv": "834bdcbe3a62fd30532da2760953c71e314d420d333d1ef07521e173d5259a94",
+        "_coefficients.csv": "14c3a99deace705af040182bff5dfe45d5cd785b5a99bb6610a038ca9135406a",
+        "_matrix.csv": "1a558469a26babde924111e9a5993d89e1297fa99e1937444e7919ac3d3db24a",
+    }),
+    # the holdout study's bands and coefficients as JSON; its matrix stays CSV
+    "json": (HOLDOUT_FLAGS + ["--format", "json"], {
+        "_bands.json": "b235756d63d0f2adea6886f208f3b87b0d2cd7a9a854e70dbe22478aa04fac18",
+        "_coefficients.json": "ab1ca2298ae9d636aa6091b7a78303d73edfa177983f4153dfbfff89e7af956f",
+        "_matrix.csv": HOLDOUT["_matrix.csv"],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_branch_study(tmp_path, name):
+    flags, want = BRANCHES[name]
+    assert study_hashes(tmp_path, name, flags, want) == want
 
 
 # Single-file outputs of the other commands. "{data}" is the dataset that
