@@ -126,9 +126,8 @@ def fit_forests(xs: np.ndarray, ys: np.ndarray, params: ForestParams, seeds) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         centre = _median(ys)
         largest = n * np.max(np.abs(ys - centre[:, None]), axis=1)
-        finite = np.isfinite(largest * largest)
-    if not finite.all():
-        raise SingularFitError("the targets' sums overflow a float", row=int(np.argmin(finite)))
+        if not np.isfinite(largest * largest).all():
+            raise SingularFitError("the targets' sums overflow a float")
     # Number each row's distinct x values from left to right.
     order = np.argsort(xs, axis=1)
     ordered = np.take_along_axis(xs, order, axis=1)

@@ -13,13 +13,7 @@ from .base import as_float_vector, check_fitted, check_xy
 class SingularFitError(ValueError):
     """Raised when the design is degenerate (all x values identical), or
     when a fit's sums, standard errors or holdout error overflow a float.
-
-    ``row`` is the first failing row of a batched fit.
     """
-
-    def __init__(self, message: str, row: int = 0):
-        super().__init__(message)
-        self.row = row
 
 
 class LineFits(NamedTuple):
@@ -50,26 +44,21 @@ def fit_lines(xs: np.ndarray, ys: np.ndarray) -> LineFits:
     n = xs.shape[1]
     if n < 2:
         raise ValueError(f"need at least 2 observations to fit a line, got {n}")
-    flat = np.ptp(xs, axis=1) == 0.0
-    if flat.any():
-        raise SingularFitError("all x values are identical; slope is undetermined",
-                               row=int(np.argmax(flat)))
+    if (np.ptp(xs, axis=1) == 0.0).any():
+        raise SingularFitError("all x values are identical; slope is undetermined")
     x_mean = np.mean(xs, axis=1)
     y_mean = np.mean(ys, axis=1)
     dx = xs - x_mean[:, None]
     sxx = _row_dots(dx, dx)
     if (sxx == 0.0).any():
-        raise SingularFitError("x has zero variance; slope is undetermined",
-                               row=int(np.argmax(sxx == 0.0)))
+        raise SingularFitError("x has zero variance; slope is undetermined")
     slope = _row_dots(dx, ys - y_mean[:, None]) / sxx
     intercept = y_mean - slope * x_mean
     residuals = ys - intercept[:, None] - slope[:, None] * xs
     s = np.sqrt(_row_dots(residuals, residuals) / (n - 2)) if n > 2 else np.zeros(len(xs))
     fits = LineFits(slope, intercept, s, x_mean, sxx)
-    finite = np.isfinite(fits).all(axis=0)
-    if not finite.all():
-        raise SingularFitError("the least squares sums overflow a float",
-                               row=int(np.argmin(finite)))
+    if not np.isfinite(fits).all():
+        raise SingularFitError("the least squares sums overflow a float")
     return fits
 
 

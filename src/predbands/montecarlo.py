@@ -166,39 +166,47 @@ BLOCK_VALUES = 2 ** 13
 
 
 def _replicate(config: StudyConfig, reps: range):
-    """Rows ``reps`` of the study: (predictions, slopes, intercepts, holdout mses).
+    """Rows ``reps`` of the study: (predictions, slopes, intercepts, holdout mses)."""
+    xs, ys = generate_rows(config.gen, stream_seeds(config.gen.seed, reps))
+    try:
+        return _fit_rows(config, reps, xs, ys)
+    except Exception as exc:
+        # Each row alone is bit-identical to its row of the block, so the first
+        # row that fails alone is the lowest failing replication at any block size.
+        for i in range(len(reps)):
+            try:
+                _fit_rows(config, reps[i:i + 1], xs[i:i + 1], ys[i:i + 1])
+            except Exception as row_exc:
+                raise ReplicationError(reps[i], str(row_exc)) from row_exc
+        raise ReplicationError(reps[0], str(exc)) from exc
 
-    The datasets, splits, fits and predictions of the whole block are
-    computed in (len(reps), ...) arrays.  Forest slopes and intercepts
-    are nan, and holdout mses None without a test split.
+
+def _fit_rows(config: StudyConfig, reps: range, xs: np.ndarray, ys: np.ndarray):
+    """Split, fit and predict the drawn rows of replications ``reps``, as ``_replicate``.
+
+    The whole block is computed in (len(reps), ...) arrays.  Forest slopes
+    and intercepts are nan, and holdout mses None without a test split.
     """
     master, big_r = config.gen.seed, config.replications
-    try:
-        xs, ys = generate_rows(config.gen, stream_seeds(master, reps))
-        test_xs = test_ys = holdout = None
-        if config.test_fraction is not None:
-            split_seeds = stream_seeds(master, range(reps.start + 2 * big_r,
-                                                     reps.stop + 2 * big_r))
-            (xs, ys), (test_xs, test_ys) = split_rows(xs, ys, config.test_fraction, split_seeds)
-        if config.model == "linear":
-            fits = fit_lines(xs, ys)
-            slopes, intercepts = fits.slope, fits.intercept
-        else:
-            from .forest import fit_forests
-            model_seeds = stream_seeds(master, range(reps.start + big_r, reps.stop + big_r))
-            fits = fit_forests(xs, ys, config.forest, model_seeds)
-            slopes = intercepts = np.full(len(reps), np.nan)
-        rows = fits.predict(config.grid.points)
-        if test_xs is not None:
-            diff = test_ys - fits.predict(test_xs)
-            holdout = np.mean(diff * diff, axis=-1)
-            finite = np.isfinite(holdout)
-            if not finite.all():
-                raise SingularFitError("the holdout mse overflows a float",
-                                       row=int(np.argmin(finite)))
-        return rows, slopes, intercepts, holdout
-    except Exception as exc:
-        raise ReplicationError(reps[getattr(exc, "row", 0)], str(exc)) from exc
+    test_xs = test_ys = holdout = None
+    if config.test_fraction is not None:
+        split_seeds = stream_seeds(master, range(reps.start + 2 * big_r, reps.stop + 2 * big_r))
+        (xs, ys), (test_xs, test_ys) = split_rows(xs, ys, config.test_fraction, split_seeds)
+    if config.model == "linear":
+        fits = fit_lines(xs, ys)
+        slopes, intercepts = fits.slope, fits.intercept
+    else:
+        from .forest import fit_forests
+        model_seeds = stream_seeds(master, range(reps.start + big_r, reps.stop + big_r))
+        fits = fit_forests(xs, ys, config.forest, model_seeds)
+        slopes = intercepts = np.full(len(reps), np.nan)
+    rows = fits.predict(config.grid.points)
+    if test_xs is not None:
+        diff = test_ys - fits.predict(test_xs)
+        holdout = np.mean(diff * diff, axis=-1)
+        if not np.isfinite(holdout).all():
+            raise SingularFitError("the holdout mse overflows a float")
+    return rows, slopes, intercepts, holdout
 
 
 def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:

@@ -599,7 +599,7 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "fit", str(path), *flags)
         assert (code, out, len(err.splitlines())) == (2, "", 1)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("flags, replication", [
         # these two printed numpy warnings, then a matrix of NaN or Inf (exit 1)
         (["--intercept", "1e308", "--slope", "1e308", "--replications", "5"], 0),
@@ -614,8 +614,12 @@ class TestUsageErrors:
         # replication 1's trees fit, but its holdout mse overflows
         (["--samples", "4", "--test-fraction", "0.5", "--min-leaf", "1", "--slope", "6e152",
           "--replications", "2", "--model", "forest", "--trees", "1"], 1),
+        # replication 1's targets overflow and replication 0's holdout mse does; one
+        # worker named replication 1, which fails the earlier stage
+        (["--samples", "4", "--test-fraction", "0.5", "--min-leaf", "1", "--slope", "6e152",
+          "--replications", "2", "--seed", "33", "--model", "forest", "--trees", "1"], 0),
     ], ids=["huge line", "huge noise", "huge x", "huge holdout", "forest huge x",
-            "forest holdout"])
+            "forest holdout", "forest holdout first"])
     def test_overflowing_study_is_a_one_line_error(self, capsys, tmp_path, flags,
                                                    replication, threads):
         assert self.run_and_check_one_line_error(

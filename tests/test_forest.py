@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from predbands import montecarlo
 from predbands.dataset import GenConfig, generate_dataset, generate_rows, make_grid, split_rows
 from predbands.forest import (DecisionTreeRegressor, ForestFits, ForestParams,
                               RandomForestRegressor, fit_forests)
 from predbands.linear import SingularFitError
-from predbands.montecarlo import StudyConfig, run_study
+from predbands.montecarlo import ReplicationError, StudyConfig, run_study
 from predbands.rng import Rng, derive_seed
 
 
@@ -227,14 +228,20 @@ class TestRandomForest:
         with pytest.raises(ValueError, match="x must be 1-D"):
             RandomForestRegressor().fit(np.column_stack([data.xs, data.xs]), data.ys)
 
-    def test_block_names_its_first_row_whose_sums_overflow(self):
+    def test_block_names_its_first_row_whose_sums_overflow(self, monkeypatch):
         xs = np.tile(np.arange(10.0), (3, 1))
         ys = np.zeros((3, 10))
         ys[1, 9] = 1e154  # drawn n times, its square overflows
         ys[2] = 1e308
-        with pytest.raises(SingularFitError, match="overflow") as info:
-            fit_forests(xs, ys, ForestParams(n_trees=3), [0, 1, 2])
-        assert info.value.row == 1
+        params = ForestParams(n_trees=3)
+        with pytest.raises(SingularFitError, match="overflow"):
+            fit_forests(xs, ys, params, [0, 1, 2])
+        # rows 1 and 2 fail; a study of these rows names replication 1
+        monkeypatch.setattr(montecarlo, "generate_rows", lambda config, seeds: (xs, ys))
+        config = StudyConfig(gen=GenConfig(n_samples=10), model="forest", forest=params,
+                             replications=3)
+        with pytest.raises(ReplicationError, match="replication 1: the targets' sums overflow"):
+            run_study(config)
 
 
 class TestMse:

@@ -4,8 +4,10 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from predbands import montecarlo
 from predbands.dataset import GenConfig, generate_dataset, make_grid
 from predbands.linear import LinearRegression, SingularFitError, fit_lines
+from predbands.montecarlo import ReplicationError, StudyConfig, run_study
 from predbands.rng import Rng
 
 normal_quantile = NormalDist().inv_cdf
@@ -124,12 +126,16 @@ class TestFit:
         with pytest.raises(SingularFitError, match="x has zero variance"):
             fit_lines(np.array([[0.0, 5e-324, 0.0]]), np.ones((1, 3)))
 
-    def test_batched_fit_names_its_first_overflowing_row(self):
+    def test_batched_fit_names_its_first_overflowing_row(self, monkeypatch):
         xs = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1e200, -1e200]])
-        with pytest.raises(SingularFitError, match="overflow") as info, \
+        ys = np.array([[1.0, 2.0, 3.0], [1.0, 1e308, -1e308], [1.0, 2.0, 3.0]])
+        with pytest.raises(SingularFitError, match="overflow"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            fit_lines(xs, np.array([[1.0, 2.0, 3.0], [1.0, 1e308, -1e308], [1.0, 2.0, 3.0]]))
-        assert info.value.row == 1
+            fit_lines(xs, ys)
+        # rows 1 and 2 fail; a study of these rows names replication 1
+        monkeypatch.setattr(montecarlo, "generate_rows", lambda config, seeds: (xs, ys))
+        with pytest.raises(ReplicationError, match="replication 1: the least squares sums"):
+            run_study(StudyConfig(gen=GenConfig(n_samples=3), replications=3))
 
     def test_single_column_x_equals_a_vector_and_two_columns_are_rejected(self):
         xs, ys = random_dataset(5)
@@ -139,11 +145,15 @@ class TestFit:
         with pytest.raises(ValueError, match="x must be 1-D"):
             LinearRegression().fit(np.column_stack([xs, xs]), ys)
 
-    def test_batched_fit_names_its_first_degenerate_row(self):
+    def test_batched_fit_names_its_first_degenerate_row(self, monkeypatch):
         xs = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [5.0, 5.0, 5.0]])
-        with pytest.raises(SingularFitError) as info:
+        with pytest.raises(SingularFitError, match="all x values are identical"):
             fit_lines(xs, np.ones_like(xs))
-        assert info.value.row == 1
+        # rows 1 and 2 fail; a study of these rows names replication 1
+        monkeypatch.setattr(montecarlo, "generate_rows",
+                            lambda config, seeds: (xs, np.ones_like(xs)))
+        with pytest.raises(ReplicationError, match="replication 1: all x values are identical"):
+            run_study(StudyConfig(gen=GenConfig(n_samples=3), replications=3))
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(ValueError, match="not fitted"):
