@@ -293,7 +293,10 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
     values = np.clip(means, np.minimum.reduceat(y_low, leaf_at),
                      np.maximum.reduceat(y_high, leaf_at))
     cut_at = np.sort(np.concatenate(cut_at))
-    thresholds = (x_at[cut_at - 1] + x_at[cut_at]) / 2.0
+    # Halving first keeps a huge sum finite.  A midpoint that rounds onto its
+    # right point would route it left, so the cut stays below that point.
+    left, right = x_at[cut_at - 1], x_at[cut_at]
+    thresholds = np.minimum(left / 2 + right / 2, np.nextafter(right, -np.inf))
     return thresholds, values, np.bincount(leaf_at // width, minlength=len(trees))
 
 

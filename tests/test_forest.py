@@ -83,6 +83,20 @@ class TestDecisionTree:
             [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 10.0, 10.0])
         assert tree.predict([2.5])[0] == 1.0
 
+    @pytest.mark.parametrize("xs, cut", [
+        # the midpoint of adjacent doubles rounds onto x[2], which x <= cut routed left
+        ([1.0, 1.0000000000000002, 1.0000000000000004, 1.0000000000000007],
+         1.0000000000000002),
+        ([0.0, 5e-324, 1e-323, 1.5e-323], 5e-324),
+        # x[1] + x[2] overflows a float
+        ([0.5e308, 1e308, 1.5e308, 1.7e308], 1.25e308),
+    ], ids=["adjacent", "subnormal", "huge"])
+    def test_depth_one_split_of_extreme_x(self, xs, cut):
+        # the textbook split and boundary tests above, where a midpoint fails
+        tree = DecisionTreeRegressor(max_depth=1).fit(xs, [1.0, 1.0, 10.0, 10.0])
+        assert tree.thresholds_.tolist() == [cut]
+        assert tree.predict(xs + [cut]).tolist() == [1.0, 1.0, 10.0, 10.0, 1.0]
+
     def test_equal_sse_tie_takes_lowest_threshold(self):
         # symmetric targets: splitting at 0.5 or 2.5 costs the same
         tree = DecisionTreeRegressor(max_depth=1).fit(
