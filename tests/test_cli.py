@@ -340,6 +340,27 @@ class TestStudy:
         assert "disk full" in err and out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_failed_rename_is_a_one_line_error(self, capsys, monkeypatch, tmp_path, k):
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(f"rename {k} failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        code, out, err = run_cli(capsys, "study", "--replications", "4", "--emit-matrix",
+                                 "--output", str(tmp_path / "p"))
+        assert (code, out, err) == (1, "", f"error: rename {k} failed\n")
+        names = os.listdir(tmp_path)
+        assert not [name for name in names if name.endswith(".tmp")]
+        # The files moved into place before the failed rename stay: a failure
+        # between two renames leaves a partial set, so only k = 1 leaves none.
+        if k == 1:
+            assert names == []
+
     def test_directory_in_the_way_leaves_no_output(self, capsys, tmp_path):
         (tmp_path / "p_coefficients.csv").mkdir()
         code, out, err = run_cli(capsys, "study", "--replications", "4", "--emit-matrix",
