@@ -171,8 +171,8 @@ def _replicate(config: StudyConfig, reps: range):
     try:
         return _fit_rows(config, reps, xs, ys)
     except Exception as exc:
-        # Each row alone is bit-identical to its row of the block, so the first
-        # row that fails alone is the lowest failing replication at any block size.
+        # Each row alone is bit-identical to its row of the block, so the first row
+        # that fails alone is the lowest failing replication at any worker count.
         for i in range(len(reps)):
             try:
                 _fit_rows(config, reps[i:i + 1], xs[i:i + 1], ys[i:i + 1])
@@ -182,7 +182,7 @@ def _replicate(config: StudyConfig, reps: range):
 
 
 def _fit_rows(config: StudyConfig, reps: range, xs: np.ndarray, ys: np.ndarray):
-    """Split, fit and predict the drawn rows of replications ``reps``, as ``_replicate``.
+    """Split, fit and predict the drawn rows of ``reps``; returns what ``_replicate`` does.
 
     The whole block is computed in (len(reps), ...) arrays.  Forest slopes
     and intercepts are nan, and holdout mses None without a test split.
