@@ -37,9 +37,9 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 
 def _seed_array(seeds) -> np.ndarray:
     """A vector of seeds as uint64, each taken mod 2**64."""
-    seeds = np.asarray(seeds)
-    if seeds.dtype != np.uint64:
-        seeds = np.array([int(s) & _MASK for s in seeds.ravel()], dtype=np.uint64)
+    if getattr(seeds, "dtype", None) != np.uint64:
+        # as objects: numpy reads a list of ints on both sides of 2**63 as floats
+        seeds = np.fromiter((int(s) & _MASK for s in np.asarray(seeds, dtype=object).flat), np.uint64)
     return seeds.ravel()
 
 

@@ -1,7 +1,31 @@
+import random
+
 import numpy as np
 import pytest
 
-from predbands.rng import Rng, derive_seed
+from predbands.rng import Rng, derive_seed, stream_seeds
+
+MASK = 2**64 - 1
+
+
+def formula_seed(master: int, index: int) -> int:
+    """Sub-stream ``index`` of ``master`` by README's formula, in Python ints."""
+    z = master ^ ((index + 1) * 0x9E3779B97F4A7C15 & MASK)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
+def test_stream_seeds_match_the_formula():
+    draw = random.Random(2026)
+    masters = [0, MASK] + [draw.getrandbits(64) for _ in range(6)]
+    for streams in (range(5), range(1000, 1010), range(3, 40, 7), range(2**40, 2**40 + 3)):
+        for master in masters:
+            want = [formula_seed(master, i) for i in streams]
+            assert stream_seeds(master, streams).tolist() == want, (master, streams)
+        # a vector of masters gives one row per master
+        want = [[formula_seed(m, i) for i in streams] for m in masters]
+        assert stream_seeds(masters, streams).tolist() == want, streams
 
 
 def test_derive_seed_distinct_adjacent():
