@@ -24,9 +24,8 @@ _SOURCE = {
         "linear": ("LinearRegression", "SingularFitError"),
         "montecarlo": ("CoefficientSamples", "PredictionMatrix", "ReplicationError",
                        "StudyConfig", "StudyResult", "WorkerError", "run_study"),
-        "rng": ("Rng", "derive_seed"),
-        "stats": ("BandCurve", "QuartileBand", "band_curve", "band_slope",
-                  "distribution_report", "quantile", "quartile_band"),
+        "rng": ("Rng",),
+        "stats": ("BandCurve", "band_curve", "band_slope", "distribution_report"),
     }.items()
     for name in names
 }

@@ -112,7 +112,7 @@ def fit_forests(xs: np.ndarray, ys: np.ndarray, params: ForestParams, seeds) -> 
     """Grow a forest on every row of (rows, n) arrays xs and ys.
 
     Tree t of row r is fit to the bootstrap sample drawn from the stream
-    ``derive_seed(seeds[r], t)``, or to the row itself without bootstrap.
+    ``stream_seeds(seeds[r], range(n_trees))[t]``, or to the row itself without bootstrap.
     Trees are grown in passes of at most ``_BATCH_ROWS`` drawn rows,
     filled in (row, tree) order across row boundaries.  A row whose
     targets' sums could overflow a float raises SingularFitError.
@@ -346,7 +346,7 @@ class RandomForestRegressor:
 
     With one feature there is nothing to subsample per split, so the
     ensemble randomness comes entirely from bootstrap resampling.  Tree t
-    draws its bootstrap sample from the stream ``derive_seed(seed, t)``,
+    draws its bootstrap sample from ``stream_seeds(seed, range(n_trees))[t]``,
     which makes fits reproducible and order-independent.  Defaults and
     validation come from :class:`ForestParams`.  ``fit`` keeps the fitted
     forest in ``fits_``; ``trees_`` lists read-only one-tree views of it.

@@ -5,9 +5,9 @@ and predicts over the shared grid; the rows are stacked into an R x G
 prediction matrix.  All randomness is scheduled from the master seed
 (``config.gen.seed``) so results are independent of execution order:
 
-* data seed  = derive_seed(master, r)
-* model seed = derive_seed(master, R + r)
-* split seed = derive_seed(master, 2 * R + r)   (only with a test split)
+* data seed  = stream_seeds(master, range(R))[r]
+* model seed = stream_seeds(master, range(R, 2 * R))[r]
+* split seed = stream_seeds(master, range(2 * R, 3 * R))[r]   (only with a test split)
 
 Replications run in blocks of consecutive indices.  A block draws,
 splits, fits and predicts all its replications with array operations

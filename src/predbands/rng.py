@@ -51,19 +51,12 @@ def stream_seeds(master_seed, streams: range) -> np.ndarray:
     master seed, so distinct indices can never collide.  Given a vector
     of master seeds, row r holds the sub-stream seeds of master r.
     """
-    if len(streams) and min(streams) < 0:
-        raise ValueError("index must be non-negative")
     index = np.arange(streams.start, streams.stop, streams.step, dtype=np.uint64) + np.uint64(1)
     if isinstance(master_seed, (int, np.integer)):
         master = np.uint64(int(master_seed) & _MASK)
     else:
         master = _seed_array(master_seed)[:, None]
     return _mix64_vec(master ^ (index * np.uint64(_GOLDEN)))
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Derive the seed of sub-stream ``index`` from a master seed (see :func:`stream_seeds`)."""
-    return int(stream_seeds(master_seed, range(index, index + 1))[0])
 
 
 def _integers(uniforms: np.ndarray, bound) -> np.ndarray:
@@ -152,7 +145,7 @@ class Streams:
 class Rng:
     """Sequential view of one SplitMix64 counter stream: a one-row :class:`Streams`.
 
-    Instances are cheap; create one per task from :func:`derive_seed`
+    Instances are cheap; seed one per task from :func:`stream_seeds`
     rather than sharing a stream across tasks.
     """
 

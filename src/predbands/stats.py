@@ -49,30 +49,6 @@ def _fences(sorted_cols: np.ndarray) -> tuple[np.ndarray, ...]:
     return q1, median, q3, iqr, q1 - 1.5 * iqr, q3 + 1.5 * iqr
 
 
-def quantile(values, p: float) -> float:
-    """Interpolated quantile of a nonempty sample, p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return float(_column_quantile(np.sort(as_float_vector(values)), p))
-
-
-@dataclass(frozen=True)
-class QuartileBand:
-    """Quartiles of one sample plus the 1.5*IQR fences."""
-
-    q1: float
-    median: float
-    q3: float
-    iqr: float
-    low: float
-    high: float
-
-
-def quartile_band(values) -> QuartileBand:
-    """Quartiles and fences of a sample."""
-    return QuartileBand(*(float(v) for v in _fences(np.sort(as_float_vector(values)))))
-
-
 @dataclass(frozen=True)
 class BandCurve:
     """Per-grid-point quartile band of a prediction matrix."""

@@ -11,7 +11,7 @@ from predbands.forest import (DecisionTreeRegressor, ForestFits, ForestParams,
                               RandomForestRegressor, fit_forests)
 from predbands.linear import SingularFitError
 from predbands.montecarlo import ReplicationError, StudyConfig, run_study
-from predbands.rng import Rng, derive_seed
+from predbands.rng import Rng, stream_seeds
 
 
 def exhaustive_tree_oracle(xs, ys, max_depth=None, min_leaf=1, min_split=2):
@@ -274,8 +274,9 @@ class TestMse:
         config = StudyConfig(gen=GenConfig(seed=master), replications=big_r, test_fraction=0.25)
         coeffs = run_study(config).coefficients
         for r in range(big_r):
-            xs, ys = generate_rows(config.gen, [derive_seed(master, r)])
-            _, (test_xs, test_ys) = split_rows(xs, ys, 0.25, [derive_seed(master, 2 * big_r + r)])
+            xs, ys = generate_rows(config.gen, [stream_seeds(master, range(big_r))[r]])
+            split_seed = stream_seeds(master, range(2 * big_r, 3 * big_r))[r]
+            _, (test_xs, test_ys) = split_rows(xs, ys, 0.25, [split_seed])
             a, b = float(coeffs.intercepts[r]), float(coeffs.slopes[r])
             residuals = [y - (a + b * x) for x, y in zip(test_xs[0].tolist(), test_ys[0].tolist())]
             assert len(residuals) == 25

@@ -16,7 +16,7 @@ from predbands import forest, table
 from predbands.dataset import GenConfig, generate_dataset, make_grid
 from predbands.forest import DecisionTreeRegressor, ForestParams, RandomForestRegressor
 from predbands.montecarlo import StudyConfig, _replicate
-from predbands.rng import Rng, Streams, derive_seed, stream_seeds
+from predbands.rng import Rng, Streams, stream_seeds
 from predbands.table import read_table, write_table
 
 from test_forest import exhaustive_tree_oracle
@@ -33,7 +33,7 @@ def test_bootstrap_block_equals_per_tree_draws(seed, first, n_trees, n):
     block = Streams(stream_seeds(seed, trees)).integers(n, n)
     assert block.shape == (n_trees, n) and block.dtype == np.int64
     for row, t in zip(block, trees):
-        assert np.array_equal(row, Rng(derive_seed(seed, t)).integers(n, size=n))
+        assert np.array_equal(row, Rng(stream_seeds(seed, range(t + 1))[t]).integers(n, size=n))
     # a vector of masters gives one row of stream seeds per master
     masters = stream_seeds(seed, range(3))
     for master, row in zip(masters, stream_seeds(masters, trees)):
@@ -51,7 +51,7 @@ def test_growing_in_batches_changes_no_tree(monkeypatch):
     ys[4] = np.floor(ys[4])  # tied targets
     seeds = stream_seeds(master, range(big_r, big_r + 5))
     params = ForestParams(n_trees=12, min_samples_leaf=2, min_samples_split=4)
-    alone = [RandomForestRegressor.from_params(params, seed=derive_seed(master, big_r + r))
+    alone = [RandomForestRegressor.from_params(params, seed=int(seeds[r]))
              .fit(xs[r], ys[r]) for r in range(5)]
     grid = np.linspace(0.0, 10.0, 23)
     for rows_cap in (5 * n, 17 * n, forest._BATCH_ROWS):  # passes split a forest, or span several
@@ -96,7 +96,7 @@ def check_trees(case):
     n = len(case["xs"])
     assert len(forest.trees_) == case["n_trees"]
     for t, tree in enumerate(forest.trees_):
-        idx = Rng(derive_seed(case["seed"], t)).integers(n, size=n)
+        idx = Rng(stream_seeds(case["seed"], range(t + 1))[t]).integers(n, size=n)
         want_t, want_v = exhaustive_tree_oracle(case["xs"][idx], case["ys"][idx],
                                                 case["max_depth"], case["min_leaf"],
                                                 case["min_split"])

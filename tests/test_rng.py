@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from predbands.rng import Rng, derive_seed, stream_seeds
+from predbands.rng import Rng, stream_seeds
 
 MASK = 2**64 - 1
 
@@ -28,25 +28,13 @@ def test_stream_seeds_match_the_formula():
         assert stream_seeds(masters, streams).tolist() == want, streams
 
 
-def test_derive_seed_distinct_adjacent():
-    s = 123456789
-    assert derive_seed(s, 0) != derive_seed(s, 1)
-
-
-def test_derive_seed_deterministic():
-    assert derive_seed(42, 7) == derive_seed(42, 7)
-
-
-def test_derive_seed_no_collisions_over_1000():
-    master = 0x9E3779B97F4A7C15
-    outs = {derive_seed(master, i) for i in range(1000)}
-    assert len(outs) == 1000
-
-
-def test_derive_seed_range_and_validation():
-    assert 0 <= derive_seed(2**64 - 1, 12) < 2**64
-    with pytest.raises(ValueError):
-        derive_seed(1, -1)
+def test_stream_seeds_are_distinct_64_bit_words():
+    first, second = stream_seeds(123456789, range(2))
+    assert first != second
+    outs = stream_seeds(0x9E3779B97F4A7C15, range(1000))
+    assert len(set(outs.tolist())) == 1000
+    seeds = stream_seeds(MASK, range(12, 13))
+    assert seeds.dtype == np.uint64 and 0 <= int(seeds[0]) <= MASK
 
 
 def test_uniform_stream_blocks_compose():
