@@ -141,12 +141,11 @@ class ReplicationError(RuntimeError):
     """A replication failed to fit; carries the replication index."""
 
     def __init__(self, replication: int, message: str):
-        super().__init__(f"replication {replication}: {message}")
+        super().__init__(replication, message)
         self.replication = replication
-        self._message = message
 
-    def __reduce__(self):
-        return (type(self), (self.replication, self._message))
+    def __str__(self):
+        return f"replication {self.args[0]}: {self.args[1]}"
 
 
 class WorkerError(RuntimeError):
