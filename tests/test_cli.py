@@ -1,6 +1,7 @@
 import ast
 import gc
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -8,17 +9,23 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import predbands
 from predbands import cli, montecarlo, table
 from predbands.cli import main
-from predbands.dataset import Dataset, GenConfig, generate_dataset
+from predbands.dataset import Dataset, GenConfig, generate_dataset, make_grid
 from predbands.linear import LinearRegression
 from predbands.table import write_table
+
+from test_properties import PROPERTY
 
 
 TEST_PID = os.getpid()
@@ -674,6 +681,130 @@ class TestUsageErrors:
         path = tmp_path / "values.csv"
         path.write_text("v\n" + "".join(f"{v!r}\n" for v in values))
         assert self.run_and_check_one_line_error(capsys, tmp_path, "report", str(path)) == 1
+
+
+# flag values at the edges of what the parsers and the numeric code accept
+FLOAT_EDGES = ("nan", "-nan", "inf", "-inf", "1e308", "-1e308", "0", "-0", "5e-324",
+               "-5e-324", "-1", "-2.5")
+INT_EDGES = ("nan", "inf", "1e308", "5e-324", "1.5", "-1", "0", "-0", "1", "2")
+
+
+def float_flag(low, high):
+    """A finite value in [low, high] as text, or one of FLOAT_EDGES."""
+    return st.floats(low, high).map(repr), FLOAT_EDGES
+
+
+def int_flag(low, high):
+    """An int in [low, high] as text, or one of INT_EDGES."""
+    return st.integers(low, high).map(str), INT_EDGES
+
+
+def choice(*values):
+    """One of the values, with no edge values."""
+    return st.sampled_from(values), ()
+
+
+SEED_FLAG = st.integers(0, 2**64 - 1).map(str), INT_EDGES + (str(2**64), str(-(2**63) - 1))
+
+
+@st.composite
+def cli_arguments(draw, command, inputs):
+    """argv for one command; every size flag is given and bounded, so each run is small."""
+    argv = [command]
+
+    def add(flags, always=False):
+        for flag, (values, edges) in flags.items():
+            if always or draw(st.integers(0, 2)) == 0:
+                # one value in eight is an edge, so most commands get past validation
+                edge = edges and draw(st.integers(0, 7)) == 7
+                argv.extend([flag, draw(st.sampled_from(edges) if edge else values)])
+
+    gen = {"--slope": float_flag(-10, 10), "--intercept": float_flag(-1e3, 1e3),
+           "--noise-sigma": float_flag(0, 100), "--x-min": float_flag(-1e3, 170),
+           "--x-max": float_flag(180, 1e3), "--seed": SEED_FLAG, "--format": choice("csv", "json")}
+    forest = {"--model": choice("linear", "forest"), "--max-depth": int_flag(0, 8),
+              "--min-leaf": int_flag(1, 10)}
+    if command == "generate":
+        add({"--samples": int_flag(2, 200)}, always=True)
+        add(gen)
+    elif command == "fit":
+        argv.append(draw(st.sampled_from(inputs["fit"])))
+        add({"--trees": int_flag(1, 5)}, always=True)
+        add({**forest, "--band": choice("mean", "observation"), "--level": float_flag(0, 1),
+             "--grid-points": int_flag(2, 101), "--x-min": gen["--x-min"],
+             "--x-max": gen["--x-max"], "--seed": gen["--seed"], "--format": gen["--format"]})
+    elif command == "study":
+        add({"--samples": int_flag(2, 200), "--replications": int_flag(2, 50),
+             "--trees": int_flag(1, 5)}, always=True)
+        add({**gen, **forest, "--grid-points": int_flag(2, 101),
+             "--test-fraction": float_flag(0, 1), "--threads": int_flag(1, 2)})
+        if draw(st.booleans()):
+            argv.append("--emit-matrix")
+    else:
+        argv.append(draw(st.sampled_from(inputs["report"])))
+        pick = draw(st.sampled_from(["", "column", "at-x", "both"]))
+        if pick in ("column", "both"):
+            argv += ["--column", draw(st.sampled_from(
+                ["slope", "intercept", "test_mse", "150.0", "v", "nope"]))]
+        if pick in ("at-x", "both"):
+            add({"--at-x": (st.sampled_from(["150", "175.0", "200"]), FLOAT_EDGES)}, always=True)
+        add({"--bins": int_flag(1, 1000)})
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Input files for fit and report: good ones, and ones every command must refuse."""
+    folder = tmp_path_factory.mktemp("inputs")
+    texts = {
+        "collinear.csv": "x,y\n1,1\n1,2\n1,3\n",
+        "header_only.csv": "x,y\n",
+        "huge_x.csv": "x,y\n" + "".join(f"{i * 1e200!r},{i}\n" for i in range(-3, 4)),
+        "huge_values.csv": "v\n1e308\n-1e308\n",
+        "huge_constant.csv": "v\n1e308\n1e308\n1e308\n",
+    }
+    for name, text in texts.items():
+        (folder / name).write_text(text)
+    write_csv(folder / "data.csv", generate_dataset(GenConfig(seed=3, n_samples=40)))
+    result = montecarlo.run_study(montecarlo.StudyConfig(
+        gen=GenConfig(seed=5), grid=make_grid(150.0, 200.0, 11), replications=20,
+        test_fraction=0.2))
+    for name, data in (("coefficients.csv", result.coefficients), ("matrix.csv", result.matrix)):
+        with open(folder / name, "w", newline="") as out:
+            write_table(out, *data.table())
+    fit = ["data.csv", "collinear.csv", "header_only.csv", "huge_x.csv"]
+    report = ["coefficients.csv", "matrix.csv", "huge_values.csv", "huge_constant.csv", "data.csv"]
+    return {"fit": [str(folder / name) for name in fit],
+            "report": [str(folder / name) for name in report]}
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "study", "report"])
+@PROPERTY
+@given(data=st.data())
+def test_every_command_keeps_the_exit_contract(cli_inputs, command, data):
+    """Exit 0, 1 or 2; a failure is one error line, no warning, no file; argparse exits 1."""
+    argv = data.draw(cli_arguments(command, cli_inputs), label="argv")
+    with tempfile.TemporaryDirectory() as out_dir:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main([*argv, "--output", os.path.join(out_dir, "o")])
+            except SystemExit as exc:
+                code = "usage"
+                assert exc.code == 1
+        out, err, written = out.getvalue(), err.getvalue(), os.listdir(out_dir)
+    assert not caught and "Traceback" not in err and "Warning" not in err
+    if code == "usage":
+        assert err.startswith("usage: predbands") and ": error: " in err.splitlines()[-1]
+        assert written == []
+    elif code == 0:
+        assert written and not any(name.startswith(".") for name in written)
+    else:
+        assert code in (1, 2)
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert out == "" and written == []
 
 
 def run_fresh(args, **env_changes):
