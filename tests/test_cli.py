@@ -860,7 +860,7 @@ def code_references(source):
     found = set()
 
     def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name):
             names = [node.id]
