@@ -28,11 +28,17 @@ def test_stream_seeds_match_the_formula():
         assert stream_seeds(masters, streams).tolist() == want, streams
 
 
-def test_stream_seeds_are_distinct_64_bit_words():
+def test_derive_seed_distinct_adjacent():
     first, second = stream_seeds(123456789, range(2))
     assert first != second
+
+
+def test_derive_seed_no_collisions_over_1000():
     outs = stream_seeds(0x9E3779B97F4A7C15, range(1000))
     assert len(set(outs.tolist())) == 1000
+
+
+def test_stream_seeds_are_64_bit_words():
     seeds = stream_seeds(MASK, range(12, 13))
     assert seeds.dtype == np.uint64 and 0 <= int(seeds[0]) <= MASK
 
