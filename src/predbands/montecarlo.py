@@ -81,8 +81,11 @@ class PredictionMatrix:
                              f"and at least one row, got {rows.shape}")
         if not np.all(np.isfinite(rows)):
             raise ValueError("prediction matrix contains NaN or Inf")
-        rows = rows.copy()
-        rows.flags.writeable = False
+        # The rows are C-ordered and nothing else can write them: a read-only
+        # C-ordered array that owns its data is held as it is, any other copied.
+        if rows.flags.writeable or not (rows.flags.owndata and rows.flags.c_contiguous):
+            rows = rows.copy()
+            rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -227,7 +230,8 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
         size = min(size, max(1, big_r // (n_jobs * 8)))
     blocks = [range(a, min(a + size, big_r)) for a in range(0, big_r, size)]
     # Blocks are copied into place as they arrive and then dropped: no
-    # list of blocks and no concatenated copy of the matrix is held.
+    # list of blocks and no concatenated copy of the matrix is held, and
+    # PredictionMatrix keeps the filled rows, read-only, without a copy.
     rows = np.empty((big_r, len(config.grid)))
     slopes, intercepts = np.empty(big_r), np.empty(big_r)
     holdout = None if config.test_fraction is None else np.empty(big_r)
@@ -248,6 +252,7 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
         else:
             with closing(_forked(work, blocks, n_jobs)) as parts:
                 collect(parts)
+    rows.flags.writeable = False
     coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
     return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
                        coefficients=coeffs)

@@ -79,14 +79,36 @@ class BandCurve:
 def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     """Column-wise quartile band of a prediction matrix (needs >= 2 rows)."""
     rows = matrix.rows
-    if rows.shape[0] < 2:
-        raise ValueError(f"need at least 2 replications, got {rows.shape[0]}")
-    # sd's matrix-sized temporary is freed before the sorted copy is made
+    n, g = rows.shape
+    if n < 2:
+        raise ValueError(f"need at least 2 replications, got {n}")
+    # np.std and np.sort would each make a temporary the size of the matrix,
+    # so both work on pieces of about 2**13 values.  sd is np.std's arithmetic
+    # over chunks of rows.  Row 0 of `squares` carries the sum of the rows
+    # before the chunk, and numpy adds 2 or more columns up row by row, as
+    # np.std does on the whole matrix, so each column's sum keeps its bits.
+    chunk = max(1, 2 ** 13 // g)
+    squares = np.zeros((chunk + 1, g))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1)
+        mean = np.mean(rows, axis=0)
+        for start in range(0, n, chunk):
+            block = rows[start:start + chunk]
+            part = squares[:len(block) + 1]
+            deviations = np.subtract(block, mean, out=part[1:])
+            np.multiply(deviations, deviations, out=deviations)
+            squares[0] = np.add.reduce(part, axis=0)
+        sd = np.sqrt(squares[0] / (n - 1))
     if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
         raise ValueError("the predictions' mean or sd overflows a float")
-    return BandCurve(matrix.grid, *_fences(np.sort(rows, axis=0)), mean=mean, sd=sd)
+    # a block of columns is copied with each column contiguous, then sorted
+    width = max(1, 2 ** 13 // n)
+    fences = np.empty((6, g))
+    for start in range(0, g, width):
+        cols = slice(start, start + width)
+        lanes = rows[:, cols].T.copy()
+        lanes.sort(axis=1)
+        fences[:, cols] = _fences(lanes.T)
+    return BandCurve(matrix.grid, *fences, mean=mean, sd=sd)
 
 
 def band_slope(curve: BandCurve) -> float:

@@ -1,6 +1,7 @@
 import io
 import os
 import pickle
+import tracemalloc
 from contextlib import nullcontext
 from functools import partial
 
@@ -18,6 +19,7 @@ from predbands.montecarlo import (
     WorkerError,
     run_study,
 )
+from predbands.stats import band_curve
 from predbands.table import write_table
 
 TEST_PID = os.getpid()
@@ -63,6 +65,22 @@ class TestRunStudy:
     def test_matrix_shape(self):
         result = run_study(small_config(replications=3))
         assert result.matrix.rows.shape == (3, 5)
+
+    def test_holds_the_matrix_once(self):
+        config = small_config(replications=2000, grid=make_grid(150.0, 200.0, 501))
+        band_curve(run_study(small_config()).matrix)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            matrix = run_study(config).matrix
+            study_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            band_curve(matrix)
+            band_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert study_peak < 1.25 * matrix.rows.nbytes
+        assert band_peak < 0.25 * matrix.rows.nbytes
 
     def test_zero_noise_linear_recovers_the_line(self):
         config = small_config(gen=GenConfig(noise_sigma=0.0, seed=5))
@@ -261,6 +279,21 @@ class TestPredictionMatrix:
             PredictionMatrix(grid=grid, rows=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             PredictionMatrix(grid=grid, rows=np.array([[1.0, np.inf, 2.0]]))
+
+    def test_holds_its_own_read_only_rows(self):
+        grid = make_grid(0.0, 1.0, 3)
+        rows = np.zeros((2, 3))
+        view = rows.view()
+        view.flags.writeable = False
+        for given in (rows, view):
+            matrix = PredictionMatrix(grid=grid, rows=given)
+            rows[0, 0] = 1.0
+            assert matrix.rows[0, 0] == 0.0
+            assert not matrix.rows.flags.writeable
+            rows[0, 0] = 0.0
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        fortran.flags.writeable = False
+        assert PredictionMatrix(grid=grid, rows=fortran).rows.flags.c_contiguous
 
     def test_column_at_exact_and_missing(self):
         grid = make_grid(150.0, 200.0, 6)

@@ -135,6 +135,19 @@ class TestBandCurve:
                 want = float(np.quantile(rows[:, i], p, method="linear"))
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    # G = 129 leaves a last chunk of 1 row at R = 64, and G = 17 and 129 a last
+    # block of 1 column at R = 1000 and 64
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000, 10000])
+    @pytest.mark.parametrize("g", [2, 3, 5, 17, 101, 129, 1001])
+    def test_pieces_match_the_whole_matrix_bit_for_bit(self, n, g):
+        rows = 50.0 + 10.0 * np.random.default_rng(n * g).standard_normal((n, g))
+        curve = band_curve(PredictionMatrix(grid=make_grid(0.0, 1.0, g), rows=rows))
+        want = (np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1),
+                *_fences(np.sort(rows, axis=0)))
+        names = ("mean", "sd", "q1", "median", "q3", "iqr", "low", "high")
+        for name, column in zip(names, want):
+            assert np.array_equal(getattr(curve, name), column), name
+
     def test_requires_two_rows(self):
         grid = make_grid(0.0, 1.0, 2)
         with pytest.raises(ValueError):
