@@ -110,7 +110,13 @@ class PredictionMatrix:
         """Read a prediction matrix CSV table (header of grid values)."""
         names, rows = read_table(source)
         try:
-            grid = Grid(np.array([float(c) for c in names]))
+            points = [float(c) for c in names]
+        except ValueError as exc:
+            # such as a coefficients file, whose header names its columns
+            raise ValueError(f"line 1: {exc}; --at-x needs a prediction matrix "
+                             f"whose header holds its grid values") from None
+        try:
+            grid = Grid(np.array(points))
         except ValueError as exc:
             raise ValueError(f"line 1: {exc}") from None
         return cls(grid=grid, rows=rows)

@@ -503,7 +503,10 @@ class TestReport:
         ("150.0,inf\n1.0,2.0\n", ["--at-x", "150"], "line 1: grid contains NaN or Inf"),
         ("a,b\n1.0,2.0\n", ["--at-x", "150"], "line 1: could not convert"),
         ("\n \n", [], "empty table: expected a header line"),
-    ], ids=["one grid point", "infinite grid point", "names", "blank file"])
+        ("slope,intercept\n1.0,2.0\n", ["--at-x", "150"],
+         "line 1: could not convert string to float: 'slope'; --at-x needs a prediction "
+         "matrix whose header holds its grid values"),
+    ], ids=["one grid point", "infinite grid point", "names", "blank file", "coefficients"])
     def test_bad_header_is_a_one_line_error(self, capsys, tmp_path, text, flags, message):
         path = tmp_path / "m.csv"
         path.write_text(text)
