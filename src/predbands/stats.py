@@ -142,6 +142,13 @@ def distribution_report(values, bins: int | None = None) -> dict:
     # in the sample's own order: a sorted copy sums in another order
     with np.errstate(over="ignore", invalid="ignore"):
         mean, sd = float(np.mean(v)), float(np.std(v, ddof=1)) if n > 1 else 0.0
+        # A sum of huge values can overflow where their mean and sd are finite;
+        # then these are taken again from the values less their minimum.  A
+        # finite value stays as numpy gives it, so no written report moves.
+        if not math.isfinite(mean):
+            mean = low + float(np.mean(v - low))
+        if not math.isfinite(sd):
+            sd = float(np.std(v - low, ddof=1))
     if not all(map(math.isfinite, (high - low, mean, sd))):
         raise ValueError("the sample's range, mean or sd overflows a float")
     if low == high:

@@ -524,6 +524,15 @@ class TestReport:
         assert doc["overlay"] is None
         assert doc["box"]["q1"] == doc["box"]["q3"] == 7.5
 
+    def test_huge_constant_column(self, capsys, tmp_path):
+        # the column's sum overflows a float; its mean and sd do not
+        path = tmp_path / "huge.csv"
+        path.write_text("v\n" + "1e308\n" * 3)
+        code, out, _ = run_cli(capsys, "report", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["mean"], doc["sd"], doc["counts"], doc["overlay"]) == (1e308, 0.0, [3], None)
+
     def test_headerless_single_column(self, capsys, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1.0\n2.0\n3.0\n4.0\n")
