@@ -28,9 +28,9 @@ from contextlib import ExitStack, contextmanager
 import numpy as np
 
 from .base import ForestParams
-from .dataset import Dataset, GenConfig, generate_dataset, make_grid
+from .dataset import Dataset, GenConfig, Grid, generate_dataset, make_grid
 from .linear import LinearRegression, SingularFitError
-from .montecarlo import PredictionMatrix, ReplicationError, StudyConfig, WorkerError, run_study
+from .montecarlo import ReplicationError, StudyConfig, WorkerError, run_study
 from .stats import band_curve, distribution_report
 from .table import read_table, write_table
 
@@ -184,10 +184,22 @@ def cmd_study(args) -> int:
 
 
 def cmd_report(args) -> int:
+    names, rows = read_table(args.samples)
     if args.at_x is not None:
-        values = PredictionMatrix.from_csv(args.samples).column_at(args.at_x)
+        # the checks a PredictionMatrix makes, without its copy of the rows
+        try:
+            grid = Grid(np.array([float(c) for c in names]))
+        except ValueError as exc:
+            # such as a coefficients file, whose header names its columns
+            raise ValueError(f"line 1: {exc}; --at-x needs a prediction matrix "
+                             f"whose header holds its grid values") from None
+        if not len(rows):
+            raise ValueError(f"rows must be 2-D with {len(names)} columns "
+                             f"and at least one row, got {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("prediction matrix contains NaN or Inf")
+        column = grid.index(args.at_x)
     else:
-        names, rows = read_table(args.samples)
         # Only a one-column file may lack a header, as its column is then
         # named "0"; a numeric header of several cells is a matrix's grid.
         if len(names) == 1:
@@ -200,8 +212,8 @@ def cmd_report(args) -> int:
         if name not in names:
             raise ValueError(
                 f"unknown column {name!r}; available: {', '.join(names)}")
-        values = rows[:, names.index(name)]
-    doc = distribution_report(values, bins=args.bins)
+        column = names.index(name)
+    doc = distribution_report(rows[:, column], bins=args.bins)
     import json
     with _open_out(args.output) as out:
         json.dump(doc, out, indent=2)

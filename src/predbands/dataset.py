@@ -92,12 +92,15 @@ class Grid:
             raise ValueError("grid needs at least 2 points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid contains NaN or Inf")
-        diffs = np.diff(pts)
-        if np.any(diffs <= 0):
+        # compared, not subtracted, as a difference may overflow
+        if np.any(pts[1:] <= pts[:-1]):
             raise ValueError("grid points must be strictly increasing")
-        step = (pts[-1] - pts[0]) / (len(pts) - 1)
+        span = float(pts[-1]) - float(pts[0])
+        if not math.isfinite(span):
+            raise ValueError(f"grid span must be finite, got [{pts[0]}, {pts[-1]}]")
+        step = span / (len(pts) - 1)
         tol = 1e-12 * max(abs(pts[0]), abs(pts[-1]), step)
-        if np.max(np.abs(diffs - step)) > tol:
+        if np.max(np.abs(np.diff(pts) - step)) > tol:
             raise ValueError("grid spacing is not uniform")
         object.__setattr__(self, "points", _frozen_array(pts))
 
@@ -111,6 +114,16 @@ class Grid:
     @property
     def high(self) -> float:
         return float(self.points[-1])
+
+    def index(self, x: float) -> int:
+        """Position of the grid point within a relative 1e-9 of x."""
+        # a distance that overflows only means x is far from every point
+        with np.errstate(over="ignore"):
+            hits = np.nonzero(np.isclose(self.points, x, rtol=1e-9, atol=0.0))[0]
+        if not len(hits):
+            raise ValueError(
+                f"x={x} is not on the grid [{self.low}, {self.high}] ({len(self)} points)")
+        return int(hits[0])
 
 
 def make_grid(low: float, high: float, count: int) -> Grid:

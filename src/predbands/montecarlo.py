@@ -34,7 +34,6 @@ from .base import ForestParams
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
 from .linear import SingularFitError, fit_lines
 from .rng import stream_seeds
-from .table import read_table
 
 MODELS = ("linear", "forest")
 
@@ -92,34 +91,9 @@ class PredictionMatrix:
     def n_replications(self) -> int:
         return self.rows.shape[0]
 
-    def column_at(self, x: float) -> np.ndarray:
-        """Predictions at grid point x (must lie on the grid)."""
-        hits = np.nonzero(np.isclose(self.grid.points, x, rtol=1e-9, atol=0.0))[0]
-        if len(hits) == 0:
-            raise ValueError(
-                f"x={x} is not on the grid [{self.grid.low}, {self.grid.high}] "
-                f"({len(self.grid.points)} points)")
-        return self.rows[:, hits[0]]
-
     def table(self) -> tuple[list[str], np.ndarray]:
         """Header of grid values and the prediction rows."""
         return [repr(x) for x in self.grid.points.tolist()], self.rows
-
-    @classmethod
-    def from_csv(cls, source) -> "PredictionMatrix":
-        """Read a prediction matrix CSV table (header of grid values)."""
-        names, rows = read_table(source)
-        try:
-            points = [float(c) for c in names]
-        except ValueError as exc:
-            # such as a coefficients file, whose header names its columns
-            raise ValueError(f"line 1: {exc}; --at-x needs a prediction matrix "
-                             f"whose header holds its grid values") from None
-        try:
-            grid = Grid(np.array(points))
-        except ValueError as exc:
-            raise ValueError(f"line 1: {exc}") from None
-        return cls(grid=grid, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def test_criterion_6_long_tails_at_the_edges(forest_study_full):
     config, result, _ = forest_study_full
     with criterion(6, "forest prediction columns at 150 and 200 have outliers"):
         for x in (150.0, 200.0):
-            box = distribution_report(result.matrix.column_at(x))["box"]
+            box = distribution_report(result.matrix.rows[:, result.matrix.grid.index(x)])["box"]
             assert len(box["outliers"]) >= 1, f"no outliers at x={x}"
 
 

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -468,6 +469,35 @@ class TestReport:
         assert code == 1
         assert "not on the grid" in err
 
+    def test_x_far_off_the_grid_is_one_line_without_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1e308\n1.0,2.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "report", str(path), "--at-x", "-1e308")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: x=-1e+308 is not on the grid [0.0, 1e+308] (2 points)"]
+        assert not caught
+
+    def test_both_modes_hold_the_matrix_once(self, capsys, tmp_path):
+        grid = make_grid(150.0, 200.0, 501)
+        rows = np.random.default_rng(0).normal(75.0, 10.0, (2000, len(grid)))
+        small, path, doc = (str(tmp_path / name) for name in ("s.csv", "m.csv", "r.json"))
+        for dest, block in ((small, rows[:20]), (path, rows)):
+            with open(dest, "w", newline="") as out:
+                write_table(out, *montecarlo.PredictionMatrix(grid, block).table())
+        for flags, bound in ((["--at-x", "175"], 1.25), (["--column", "175.0"], 1.15)):
+            # 20 x 501 values reach the orjson reader: imports and caches outside the trace
+            assert main(["report", small, *flags, "--output", doc]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["report", path, *flags, "--output", doc]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * rows.nbytes, (flags, peak / rows.nbytes)
+        capsys.readouterr()
+
     def test_bad_cell_outside_selected_column_names_line(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("150.0,175.0,200.0\n1.0,2.0,3.0\n\n4.0,5.0,oops\n")
@@ -506,7 +536,13 @@ class TestReport:
         ("slope,intercept\n1.0,2.0\n", ["--at-x", "150"],
          "line 1: could not convert string to float: 'slope'; --at-x needs a prediction "
          "matrix whose header holds its grid values"),
-    ], ids=["one grid point", "infinite grid point", "names", "blank file", "coefficients"])
+        ("-1e308,1e308\n1.0,2.0\n", ["--at-x", "1e308"], "line 1: grid span must be finite"),
+        ("-1e308,0,1e308\n1.0,2.0,3.0\n", ["--at-x", "1e308"],
+         "line 1: grid span must be finite"),
+        ("1e308,-1e308,1e308\n1.0,2.0,3.0\n", ["--at-x", "1e308"],
+         "line 1: grid points must be strictly increasing"),
+    ], ids=["one grid point", "infinite grid point", "names", "blank file", "coefficients",
+            "overflowing span", "overflowing span, 3 points", "overflowing step back"])
     def test_bad_header_is_a_one_line_error(self, capsys, tmp_path, text, flags, message):
         path = tmp_path / "m.csv"
         path.write_text(text)

@@ -129,6 +129,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.array([1.0, 0.5, 0.0]))
 
+    def test_rejects_a_span_that_overflows(self):
+        for points in ([-1e308, 1e308], [-1e308, 0.0, 1e308]):
+            with pytest.raises(ValueError, match="grid span must be finite"):
+                Grid(np.array(points))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(np.array([1e308, -1e308, 1e308]))
+
+    def test_index_matches_within_a_relative_1e_9(self):
+        grid = make_grid(150.0, 200.0, 101)
+        assert grid.index(175.0) == 50
+        assert grid.index(175.0 * (1 + 5e-10)) == 50
+        with pytest.raises(ValueError, match=r"x=175.00035 is not on the grid \[150.0, 200.0\]"):
+            grid.index(175.00035)
+        with pytest.raises(ValueError, match="not on the grid"):
+            make_grid(0.0, 1e308, 2).index(-1e308)  # the distance overflows
+
 
 class TestSplitTrainTest:
     """``split_rows`` on one-row blocks, and on one block of many rows."""

@@ -20,7 +20,7 @@ from predbands.montecarlo import (
     run_study,
 )
 from predbands.stats import band_curve
-from predbands.table import write_table
+from predbands.table import read_table, write_table
 
 TEST_PID = os.getpid()
 
@@ -299,18 +299,18 @@ class TestPredictionMatrix:
         grid = make_grid(150.0, 200.0, 6)
         rows = np.arange(12, dtype=float).reshape(2, 6)
         matrix = PredictionMatrix(grid=grid, rows=rows)
-        assert matrix.column_at(160.0).tolist() == [1.0, 7.0]
+        assert matrix.rows[:, matrix.grid.index(160.0)].tolist() == [1.0, 7.0]
         with pytest.raises(ValueError, match="not on the grid"):
-            matrix.column_at(155.0)
+            matrix.grid.index(155.0)
 
     def test_csv_round_trip_bit_exact(self):
         config = small_config(replications=3)
         matrix = run_study(config).matrix
         buf = io.StringIO()
         write_table(buf, *matrix.table())
-        back = PredictionMatrix.from_csv(io.StringIO(buf.getvalue()))
-        assert np.array_equal(matrix.grid.points, back.grid.points)
-        assert np.array_equal(matrix.rows, back.rows)
+        names, rows = read_table(io.StringIO(buf.getvalue()))
+        assert np.array_equal(matrix.grid.points, [float(c) for c in names])
+        assert np.array_equal(matrix.rows, rows)
 
     def test_csv_header_holds_grid_values(self):
         grid = make_grid(150.0, 200.0, 3)
@@ -322,7 +322,7 @@ class TestPredictionMatrix:
 
     def test_csv_errors_name_lines(self):
         with pytest.raises(ValueError, match="line 2"):
-            PredictionMatrix.from_csv(io.StringIO("150.0,175.0,200.0\n1.0,2.0\n"))
+            read_table(io.StringIO("150.0,175.0,200.0\n1.0,2.0\n"))
 
 
 class TestCoefficientSamples:
