@@ -25,7 +25,7 @@ _SOURCE = {
         "montecarlo": ("CoefficientSamples", "PredictionMatrix", "ReplicationError",
                        "StudyConfig", "StudyResult", "WorkerError", "run_study"),
         "rng": ("Rng",),
-        "stats": ("BandCurve", "band_curve", "band_slope", "distribution_report"),
+        "stats": ("BandCurve", "band_curve", "distribution_report"),
     }.items()
     for name in names
 }

@@ -62,16 +62,6 @@ class ForestFits(NamedTuple):
     values: np.ndarray      # every tree's leaf values, left to right, tree after tree
     n_leaves: np.ndarray    # (forests, n_trees) leaves of each tree
 
-    def trees(self, forest: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(thresholds, leaf values) of each tree of one forest."""
-        n_trees = self.n_leaves.shape[1]
-        first = forest * n_trees
-        ends = np.cumsum(self.n_leaves.ravel()[:first + n_trees]).tolist()
-        starts = [0] + ends[:-1]
-        # tree i has one cut fewer than leaves: its cuts are [s - i, e - i - 1)
-        return [(self.thresholds[s - i:e - i - 1], self.values[s:e])
-                for i, s, e in zip(range(first, first + n_trees), starts[first:], ends[first:])]
-
     def predict(self, points: np.ndarray) -> np.ndarray:
         """(forests, k) mean tree predictions at ``points``.
 
@@ -349,7 +339,7 @@ class RandomForestRegressor:
     draws its bootstrap sample from ``stream_seeds(seed, range(n_trees))[t]``,
     which makes fits reproducible and order-independent.  Defaults and
     validation come from :class:`ForestParams`.  ``fit`` keeps the fitted
-    forest in ``fits_``; ``trees_`` lists read-only one-tree views of it.
+    forest in ``fits_``.
     """
 
     n_trees: int = ForestParams.n_trees
@@ -368,16 +358,6 @@ class RandomForestRegressor:
         xs, ys = check_xy(x, y)
         self.fits_ = fit_forests(xs[None], ys[None], params, [self.seed])
         return self
-
-    @property
-    def trees_(self) -> list[DecisionTreeRegressor]:
-        trees = []
-        for thresholds, values in check_fitted(self, "fits_").trees(0):
-            tree = DecisionTreeRegressor(self.max_depth, self.min_samples_leaf,
-                                         self.min_samples_split)
-            tree.fits_ = ForestFits(thresholds, values, np.array([[len(values)]]))
-            trees.append(tree)
-        return trees
 
     def predict(self, x) -> np.ndarray:
         return check_fitted(self, "fits_").predict(as_float_vector(x, "x"))[0]

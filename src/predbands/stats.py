@@ -19,10 +19,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .base import as_float_vector
-from .dataset import Grid
-from .linear import LinearRegression
 
 if TYPE_CHECKING:
+    from .dataset import Grid
     from .montecarlo import PredictionMatrix
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -109,15 +108,6 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
         lanes.sort(axis=1)
         fences[:, cols] = _fences(lanes.T)
     return BandCurve(matrix.grid, *fences, mean=mean, sd=sd)
-
-
-def band_slope(curve: BandCurve) -> float:
-    """Least squares slope of the median curve over its grid.
-
-    A model that systematically flattens its predictions toward the
-    sample mean shows up here as a slope below the generating one.
-    """
-    return LinearRegression().fit(curve.grid.points, curve.median).slope_
 
 
 def distribution_report(values, bins: int | None = None) -> dict:

@@ -19,7 +19,7 @@ from predbands.forest import DecisionTreeRegressor, ForestParams
 from predbands.linear import LinearRegression
 from predbands.montecarlo import StudyConfig, run_study
 from predbands.rng import Rng
-from predbands.stats import _column_quantile, _fences, band_curve, band_slope, distribution_report
+from predbands.stats import _column_quantile, _fences, band_curve, distribution_report
 
 from test_forest import exhaustive_tree_oracle
 from test_linear import normal_equations_oracle
@@ -122,7 +122,8 @@ def test_criterion_4_fence_identities_and_quantile_oracle():
 def test_criterion_5_forest_attenuation(forest_study_full):
     config, result, seconds = forest_study_full
     with criterion(5, "forest median curve slope attenuated (full and CI profile)"):
-        slope_full = band_slope(band_curve(result.matrix))
+        curve = band_curve(result.matrix)
+        slope_full = LinearRegression().fit(curve.grid.points, curve.median).slope_
         assert 0.7 <= slope_full < 1.0, f"full-study band slope={slope_full}"
         assert seconds < 600.0, f"full forest study took {seconds:.1f}s"
 
@@ -131,7 +132,8 @@ def test_criterion_5_forest_attenuation(forest_study_full):
         start = time.perf_counter()
         reduced_result = run_study(reduced)
         reduced_seconds = time.perf_counter() - start
-        slope_reduced = band_slope(band_curve(reduced_result.matrix))
+        curve = band_curve(reduced_result.matrix)
+        slope_reduced = LinearRegression().fit(curve.grid.points, curve.median).slope_
         assert 0.7 <= slope_reduced < 1.0, f"CI-profile band slope={slope_reduced}"
         assert reduced_seconds < 30.0, f"CI profile took {reduced_seconds:.2f}s"
 

@@ -60,6 +60,16 @@ def exhaustive_tree_oracle(xs, ys, max_depth=None, min_leaf=1, min_split=2):
     return np.array(thresholds), np.array(values)
 
 
+def forest_trees(fits, forest=0):
+    """(thresholds, leaf values) of each tree of one forest of a ForestFits."""
+    n_trees = fits.n_leaves.shape[1]
+    ends = np.cumsum(fits.n_leaves.ravel()).tolist()
+    starts = [0] + ends[:-1]
+    # tree i has one cut fewer than leaves: its cuts are [s - i, e - i - 1)
+    return [(fits.thresholds[starts[i] - i:ends[i] - i - 1], fits.values[starts[i]:ends[i]])
+            for i in range(forest * n_trees, (forest + 1) * n_trees)]
+
+
 class TestDecisionTree:
     def test_constant_targets_give_single_leaf(self):
         tree = DecisionTreeRegressor().fit([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
@@ -185,7 +195,8 @@ class TestRandomForest:
         data = generate_dataset(GenConfig(seed=31, n_samples=60))
         grid = make_grid(150.0, 200.0, 21).points
         forest = RandomForestRegressor(n_trees=7, seed=3).fit(data.xs, data.ys)
-        stacked = np.array([tree.predict(grid) for tree in forest.trees_])
+        stacked = np.array([values[np.searchsorted(thresholds, grid, side="left")]
+                            for thresholds, values in forest_trees(forest.fits_)])
         assert np.allclose(forest.predict(grid), stacked.mean(axis=0),
                            rtol=1e-12, atol=1e-12)
 
@@ -194,7 +205,7 @@ class TestRandomForest:
         grid = make_grid(150.0, 200.0, 21).points
         forest = RandomForestRegressor(n_trees=8, seed=4).fit(data.xs, data.ys)
         before = forest.predict(grid)
-        trees = forest.fits_.trees(0)[::-1]
+        trees = forest_trees(forest.fits_)[::-1]
         forest.fits_ = ForestFits(np.concatenate([t for t, _ in trees]),
                                   np.concatenate([v for _, v in trees]),
                                   np.array([[len(v) for _, v in trees]]))

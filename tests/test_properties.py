@@ -19,7 +19,7 @@ from predbands.montecarlo import StudyConfig, _replicate
 from predbands.rng import Rng, Streams, stream_seeds
 from predbands.table import read_table, write_table
 
-from test_forest import exhaustive_tree_oracle
+from test_forest import exhaustive_tree_oracle, forest_trees
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
@@ -58,14 +58,15 @@ def test_growing_in_batches_changes_no_tree(monkeypatch):
         monkeypatch.setattr(forest, "_BATCH_ROWS", rows_cap)
         fits = forest.fit_forests(xs, ys, params, seeds)
         for r, model in enumerate(alone):
-            trees = fits.trees(r)
+            trees = forest_trees(fits, r)
             assert len(trees) == 12
-            for tree, (thresholds, values) in zip(model.trees_, trees):
-                assert np.array_equal(tree.thresholds_, thresholds), f"forest {r}"
-                assert np.array_equal(tree.leaf_values_, values), f"forest {r}"
+            for (tree_thresholds, tree_values), (thresholds, values) in zip(
+                    forest_trees(model.fits_), trees):
+                assert np.array_equal(tree_thresholds, thresholds), f"forest {r}"
+                assert np.array_equal(tree_values, values), f"forest {r}"
             assert np.array_equal(fits.predict(grid)[r], model.predict(grid))
             assert np.array_equal(fits.predict(xs)[r], model.predict(xs[r]))
-    assert alone[3].trees_[0].n_leaves_ == 1
+    assert alone[3].fits_.n_leaves[0, 0] == 1
 
 
 @st.composite
@@ -94,16 +95,17 @@ def check_trees(case):
         min_samples_leaf=case["min_leaf"], min_samples_split=case["min_split"],
         seed=case["seed"]).fit(case["xs"], case["ys"])
     n = len(case["xs"])
-    assert len(forest.trees_) == case["n_trees"]
-    for t, tree in enumerate(forest.trees_):
+    trees = forest_trees(forest.fits_)
+    assert len(trees) == case["n_trees"]
+    for t, (thresholds, values) in enumerate(trees):
         idx = Rng(stream_seeds(case["seed"], range(t + 1))[t]).integers(n, size=n)
         want_t, want_v = exhaustive_tree_oracle(case["xs"][idx], case["ys"][idx],
                                                 case["max_depth"], case["min_leaf"],
                                                 case["min_split"])
-        assert tree.thresholds_.shape == want_t.shape, f"tree {t}"
-        assert np.allclose(tree.thresholds_, want_t, rtol=1e-12, atol=1e-12), f"tree {t}"
-        assert np.allclose(tree.leaf_values_, want_v, rtol=1e-12, atol=1e-12), f"tree {t}"
-        assert tree.n_leaves_ == len(want_v)
+        assert thresholds.shape == want_t.shape, f"tree {t}"
+        assert np.allclose(thresholds, want_t, rtol=1e-12, atol=1e-12), f"tree {t}"
+        assert np.allclose(values, want_v, rtol=1e-12, atol=1e-12), f"tree {t}"
+        assert len(values) == len(want_v)
 
 
 # Continuous targets: bootstrap repeats give tied rows, the grid gives

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from predbands.dataset import Grid, make_grid
+from predbands.linear import LinearRegression
 from predbands.montecarlo import PredictionMatrix
 from predbands.rng import Rng
-from predbands.stats import _column_quantile, _fences, band_curve, band_slope, distribution_report
+from predbands.stats import _column_quantile, _fences, band_curve, distribution_report
 from predbands.table import write_table
 
 
@@ -166,17 +167,19 @@ class TestBandCurve:
 
 
 class TestBandSlope:
+    """The median curve's least squares slope, as the quick start takes it."""
+
     def test_exact_line_recovers_slope(self):
         grid = make_grid(150.0, 200.0, 11)
         rows = np.tile(grid.points - 100.0, (3, 1))
         curve = band_curve(PredictionMatrix(grid=grid, rows=rows))
-        assert band_slope(curve) == pytest.approx(1.0, rel=1e-12)
+        assert LinearRegression().fit(curve.grid.points, curve.median).slope_ == pytest.approx(1.0, rel=1e-12)
 
     def test_flat_curve_has_zero_slope(self):
         grid = make_grid(150.0, 200.0, 11)
         rows = np.full((3, 11), 42.0)
         curve = band_curve(PredictionMatrix(grid=grid, rows=rows))
-        assert band_slope(curve) == pytest.approx(0.0, abs=1e-12)
+        assert LinearRegression().fit(curve.grid.points, curve.median).slope_ == pytest.approx(0.0, abs=1e-12)
 
 
 class TestHistogram:
