@@ -10,6 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Loops over a large array's rows or columns take pieces of about this
+# many values, so their temporaries stay near 64 KB.
+CHUNK_VALUES = 2 ** 13
+
 
 def check_fitted(model, attr: str):
     """``model``'s attribute ``attr``, which only ``fit`` sets; ValueError before that."""

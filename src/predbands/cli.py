@@ -30,7 +30,7 @@ import numpy as np
 from .base import ForestParams
 from .dataset import Dataset, GenConfig, Grid, generate_dataset, make_grid
 from .linear import LinearRegression, SingularFitError
-from .montecarlo import ReplicationError, StudyConfig, WorkerError, run_study
+from .montecarlo import ReplicationError, StudyConfig, WorkerError, check_rows, run_study
 from .stats import band_curve, distribution_report
 from .table import read_table, write_table
 
@@ -193,11 +193,7 @@ def cmd_report(args) -> int:
             # such as a coefficients file, whose header names its columns
             raise ValueError(f"line 1: {exc}; --at-x needs a prediction matrix "
                              f"whose header holds its grid values") from None
-        if not len(rows):
-            raise ValueError(f"rows must be 2-D with {len(names)} columns "
-                             f"and at least one row, got {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise ValueError("prediction matrix contains NaN or Inf")
+        check_rows(rows, len(names))
         column = grid.index(args.at_x)
     else:
         # Only a one-column file may lack a header, as its column is then

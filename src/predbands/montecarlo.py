@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ForestParams
+from .base import CHUNK_VALUES, ForestParams
 from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
 from .linear import SingularFitError, fit_lines
 from .rng import stream_seeds
@@ -66,6 +66,21 @@ class StudyConfig:
                 f"training range [{self.gen.x_low}, {self.gen.x_high}]")
 
 
+def check_rows(rows: np.ndarray, width: int) -> None:
+    """ValueError unless ``rows`` is a 2-D float array of ``width`` columns,
+    at least one row and only finite values.
+
+    Finiteness is tested over blocks of rows, so no R x G mask is made.
+    """
+    if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
+        raise ValueError(f"rows must be 2-D with {width} columns "
+                         f"and at least one row, got {rows.shape}")
+    step = max(1, CHUNK_VALUES // width)
+    for start in range(0, len(rows), step):
+        if not np.isfinite(rows[start:start + step]).all():
+            raise ValueError("prediction matrix contains NaN or Inf")
+
+
 @dataclass(frozen=True)
 class PredictionMatrix:
     """R x G predictions: one row per replication, one column per grid point."""
@@ -75,11 +90,7 @@ class PredictionMatrix:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.grid.points) or not len(rows):
-            raise ValueError(f"rows must be 2-D with {len(self.grid.points)} columns "
-                             f"and at least one row, got {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("prediction matrix contains NaN or Inf")
+        check_rows(rows, len(self.grid.points))
         # The rows are C-ordered and nothing else can write them: a read-only
         # C-ordered array that owns its data is held as it is, any other copied.
         if rows.flags.writeable or not (rows.flags.owndata and rows.flags.c_contiguous):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base import as_float_vector
+from .base import CHUNK_VALUES, as_float_vector
 
 if TYPE_CHECKING:
     from .dataset import Grid
@@ -82,11 +82,11 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
     # np.std and np.sort would each make a temporary the size of the matrix,
-    # so both work on pieces of about 2**13 values.  sd is np.std's arithmetic
+    # so both work on pieces of about CHUNK_VALUES values.  sd is np.std's arithmetic
     # over chunks of rows.  Row 0 of `squares` carries the sum of the rows
     # before the chunk, and numpy adds 2 or more columns up row by row, as
     # np.std does on the whole matrix, so each column's sum keeps its bits.
-    chunk = max(1, 2 ** 13 // g)
+    chunk = max(1, CHUNK_VALUES // g)
     squares = np.zeros((chunk + 1, g))
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.mean(rows, axis=0)
@@ -100,7 +100,7 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
         raise ValueError("the predictions' mean or sd overflows a float")
     # a block of columns is copied with each column contiguous, then sorted
-    width = max(1, 2 ** 13 // n)
+    width = max(1, CHUNK_VALUES // n)
     fences = np.empty((6, g))
     for start in range(0, g, width):
         cols = slice(start, start + width)

@@ -486,7 +486,7 @@ class TestReport:
         for dest, block in ((small, rows[:20]), (path, rows)):
             with open(dest, "w", newline="") as out:
                 write_table(out, *montecarlo.PredictionMatrix(grid, block).table())
-        for flags, bound in ((["--at-x", "175"], 1.25), (["--column", "175.0"], 1.15)):
+        for flags, bound in ((["--at-x", "175"], 1.15), (["--column", "175.0"], 1.15)):
             # 20 x 501 values reach the orjson reader: imports and caches outside the trace
             assert main(["report", small, *flags, "--output", doc]) == 0
             tracemalloc.start()

@@ -82,6 +82,18 @@ class TestRunStudy:
         assert study_peak < 1.25 * matrix.rows.nbytes
         assert band_peak < 0.25 * matrix.rows.nbytes
 
+    def test_checks_the_matrix_without_a_mask(self):
+        # an R x G bool mask of the finiteness check would add 0.125 matrices
+        config = small_config(replications=10_000, grid=make_grid(150.0, 200.0, 101))
+        run_study(small_config())  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            matrix = run_study(config).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * matrix.rows.nbytes, peak / matrix.rows.nbytes
+
     def test_zero_noise_linear_recovers_the_line(self):
         config = small_config(gen=GenConfig(noise_sigma=0.0, seed=5))
         result = run_study(config)
