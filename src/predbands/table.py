@@ -27,6 +27,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
+from .base import CHUNK_VALUES
+
 # Below this many values, repr and float cost less than importing orjson
 # (about 3.7 ms of CPU, as it loads uuid and zoneinfo).
 _ORJSON_MIN_VALUES = 10_000
@@ -49,14 +51,22 @@ def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
     if rows.size >= _ORJSON_MIN_VALUES:
         import orjson
         rows = np.ascontiguousarray(rows)  # orjson serializes C-contiguous arrays only
-        plain = ((rows == 0) | (rows >= 1e-4) & (rows < 1e16)
-                 | (rows <= -1e-4) & (rows > -1e16)).all(axis=1)
+        plain = _plain_rows(rows)
     for row, fast in zip(rows, plain):
         if fast:
             line = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
         else:
             line = ",".join(map(repr, row.tolist()))
         out.write(line + "\n")
+
+
+def _plain_rows(rows: np.ndarray):
+    """Whether each row is plain, its mask made over blocks of about CHUNK_VALUES values."""
+    step = max(1, CHUNK_VALUES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        yield from ((block == 0) | (block >= 1e-4) & (block < 1e16)
+                    | (block <= -1e-4) & (block > -1e16)).all(axis=1).tolist()
 
 
 def read_table(source) -> tuple[list[str], np.ndarray]:

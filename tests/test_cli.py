@@ -290,6 +290,20 @@ class TestStudy:
         assert len(matrix) == 5
         assert [float(c) for c in matrix[0].split(",")][0] == 150.0
 
+    def test_emit_matrix_holds_the_matrix_once(self, capsys, tmp_path):
+        # the writer's plain-row mask is made a row block at a time, not R x G at once
+        flags = ["study", "--grid-points", "501", "--emit-matrix"]
+        # 20 x 501 values reach the orjson writer: imports and caches outside the trace
+        assert main([*flags, "--replications", "20", "--output", str(tmp_path / "w")]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*flags, "--replications", "2000", "--output", str(tmp_path / "p")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 1.2 * 2000 * 501 * 8, peak / (2000 * 501 * 8)
+
     def test_identical_flags_are_byte_identical(self, capsys, tmp_path):
         args = ["study", "--replications", "6", "--grid-points", "4", "--emit-matrix"]
         run_cli(capsys, *args, "--output", str(tmp_path / "one"))
