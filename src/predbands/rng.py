@@ -59,6 +59,15 @@ def stream_seeds(master_seed, streams: range) -> np.ndarray:
     return _mix64_vec(master ^ (index * np.uint64(_GOLDEN)))
 
 
+def _round_pairs(missing: int) -> int:
+    """Pairs a polar round draws when some row still lacks ``missing`` accepted ones.
+
+    A pair is accepted with probability pi/4, so half again and 8 more
+    make a second round rare.  The count moves no output.
+    """
+    return missing + missing // 2 + 8
+
+
 def _integers(uniforms: np.ndarray, bound) -> np.ndarray:
     return np.floor(uniforms * bound).astype(np.int64)
 
@@ -96,14 +105,15 @@ class Streams:
         """(rows, n) doubles, i.i.d. standard normal (polar method).
 
         Row i holds the first (n+1)//2 accepted pairs of its stream.
-        Each round draws, for every row, as many more pairs as the row
-        furthest from done still lacks; pairs a row draws past its last
-        accepted one are not consumed.
+        Each round draws, for every row, ``_round_pairs`` of the pairs
+        the row furthest from done still lacks; pairs a row draws past
+        its last accepted one are not consumed.
         """
         rows, pairs = len(self._seeds), (n + 1) // 2
         u = v = s = np.empty((rows, 0))
         while (missing := pairs - np.count_nonzero((s > 0.0) & (s < 1.0), axis=1).min()) > 0:
-            block = self._uniforms_at(self._drawn + np.uint64(2 * u.shape[1]), 2 * missing)
+            block = self._uniforms_at(self._drawn + np.uint64(2 * u.shape[1]),
+                                      2 * _round_pairs(int(missing)))
             bu = 2.0 * block[:, 0::2] - 1.0
             bv = 2.0 * block[:, 1::2] - 1.0
             u, v = np.hstack([u, bu]), np.hstack([v, bv])

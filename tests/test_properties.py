@@ -189,8 +189,8 @@ def test_block_normals_equal_per_row_draws(master, rows, n):
 
 
 def test_block_normals_with_several_rejection_rounds():
-    # 101 pairs a row: every row rejects some pair, so a lone row needs a
-    # second round, and the block's rows end at different draws
+    # 101 pairs a row: every row rejects some pair, so the block's rows end
+    # at different draws
     assert all(check_block_normals(stream_seeds(5, range(64)), 201))
 
 

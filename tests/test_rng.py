@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from predbands.rng import Rng, stream_seeds
+from predbands import rng
+from predbands.rng import Rng, Streams, stream_seeds
 
 MASK = 2**64 - 1
 
@@ -74,6 +75,22 @@ def test_normals_deterministic_and_prefix_stable():
     # an odd request discards the spare, so it shares the prefix
     c = Rng(11).normals(3)
     assert np.array_equal(c, a[:3])
+
+
+@pytest.mark.parametrize("n", [7, 100])
+def test_polar_round_size_moves_nothing(monkeypatch, n):
+    # Rounds of only the missing pairs take many rounds; larger rounds draw
+    # pairs past a row's last accepted one, which are not consumed.
+    def draw():
+        streams = Streams(stream_seeds(17, range(50)))
+        return streams.normals(n), streams._drawn.copy(), streams.uniforms(5)
+
+    wide, rounds = draw(), []
+    monkeypatch.setattr(rng, "_round_pairs", lambda missing: rounds.append(missing) or missing)
+    narrow = draw()
+    assert len(rounds) > 2
+    for got, want in zip(wide, narrow):
+        assert np.array_equal(got, want)
 
 
 def test_normals_moments():
