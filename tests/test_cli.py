@@ -1,4 +1,5 @@
 import ast
+import errno
 import gc
 import importlib
 import io
@@ -12,7 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -364,6 +365,51 @@ class TestStudy:
         assert code in (1, 2)
         assert "disk full" in err and out == ""
         assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        # The first or last write of any file a command writes fails, mid-file.
+        data = str(tmp_path / "d.csv")
+        assert run_cli(capsys, "generate", "--output", data)[0] == 0
+        commands = {"study": ["study", "--replications", "4", "--emit-matrix", "--output", "p"],
+                    "generate": ["generate", "--output", "g.csv"],
+                    "fit": ["fit", data, "--output", "b.csv"],
+                    "report": ["report", data, "--column", "y", "--output", "r.json"]}
+        real_open_out, writes, failing = cli._open_out, {}, None
+
+        class Handle:
+            def __init__(self, handle, name):
+                self.handle, self.name = handle, name
+
+            def write(self, text):
+                writes[self.name] = writes.get(self.name, 0) + 1
+                if (self.name, writes[self.name]) == failing:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.handle.write(text)
+
+        @contextmanager
+        def open_out(path):
+            with real_open_out(path) as handle:
+                yield Handle(handle, os.path.basename(path))
+
+        monkeypatch.setattr(cli, "_open_out", open_out)
+        for command, argv in commands.items():
+            ran = tmp_path / command
+            ran.mkdir()
+            writes.clear()
+            assert run_cli(capsys, *argv[:-1], str(ran / argv[-1]))[0] == 0
+            counts = dict(writes)
+            assert len(counts) == (3 if command == "study" else 1), counts
+            for name, count in counts.items():
+                for k in sorted({1, count}):
+                    dest = tmp_path / f"{command}-{name}-{k}"
+                    dest.mkdir()
+                    writes.clear()
+                    failing = (name, k)
+                    code, out, err = run_cli(capsys, *argv[:-1], str(dest / argv[-1]))
+                    failing = None
+                    assert (code, out, err) == (
+                        1, "", "error: [Errno 28] No space left on device\n"), (command, name, k)
+                    assert os.listdir(dest) == [], (command, name, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_failed_rename_is_a_one_line_error(self, capsys, monkeypatch, tmp_path, k):
