@@ -113,7 +113,7 @@ class Streams:
         u = v = s = np.empty((rows, 0))
         while (missing := pairs - np.count_nonzero((s > 0.0) & (s < 1.0), axis=1).min()) > 0:
             block = self._uniforms_at(self._drawn + np.uint64(2 * u.shape[1]),
-                                      2 * _round_pairs(int(missing)))
+                                      2 * _round_pairs(missing))
             bu = 2.0 * block[:, 0::2] - 1.0
             bv = 2.0 * block[:, 1::2] - 1.0
             u, v = np.hstack([u, bu]), np.hstack([v, bv])

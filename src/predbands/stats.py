@@ -82,7 +82,7 @@ def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
     # np.std and np.sort would each make a temporary the size of the matrix,
-    # so both work on pieces of about CHUNK_VALUES values.  sd is np.std's arithmetic
+    # so both work on pieces of CHUNK_VALUES values.  sd is np.std's arithmetic
     # over chunks of rows.  Row 0 of `squares` carries the sum of the rows
     # before the chunk, and numpy adds 2 or more columns up row by row, as
     # np.std does on the whole matrix, so each column's sum keeps its bits.

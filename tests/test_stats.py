@@ -173,13 +173,15 @@ class TestBandSlope:
         grid = make_grid(150.0, 200.0, 11)
         rows = np.tile(grid.points - 100.0, (3, 1))
         curve = band_curve(PredictionMatrix(grid=grid, rows=rows))
-        assert LinearRegression().fit(curve.grid.points, curve.median).slope_ == pytest.approx(1.0, rel=1e-12)
+        slope = LinearRegression().fit(curve.grid.points, curve.median).slope_
+        assert slope == pytest.approx(1.0, rel=1e-12)
 
     def test_flat_curve_has_zero_slope(self):
         grid = make_grid(150.0, 200.0, 11)
         rows = np.full((3, 11), 42.0)
         curve = band_curve(PredictionMatrix(grid=grid, rows=rows))
-        assert LinearRegression().fit(curve.grid.points, curve.median).slope_ == pytest.approx(0.0, abs=1e-12)
+        slope = LinearRegression().fit(curve.grid.points, curve.median).slope_
+        assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 class TestHistogram:
