@@ -20,6 +20,11 @@ too deep, holds a single distinct x, has constant targets (an exact test
 on prefix counts) or has no cut that leaves both children
 ``min_samples_leaf`` rows.  A forest or a single tree is a block of one
 row; a single tree is a forest of one tree grown on its sample as given.
+
+:meth:`ForestFits.predict` counts a point's leaf: it is the number of the
+tree's cuts below the point.  Each forest's points are sorted once and one
+sorted search places every cut among them; counts of cuts per place,
+summed tree after tree, give every (tree, point) leaf at once.
 """
 
 from __future__ import annotations
@@ -65,26 +70,31 @@ class ForestFits(NamedTuple):
     def predict(self, points: np.ndarray) -> np.ndarray:
         """(forests, k) mean tree predictions at ``points``.
 
-        ``points`` is (k,), shared by every forest, or (forests, k), one
-        row of points per forest.
+        ``points`` is (k,), shared by every forest, or (forests, k), one row
+        per forest.  Forests go in groups of about ``_BATCH_ROWS`` (tree, point) leaves.
         """
         forests, n_trees = self.n_leaves.shape
-        out = np.empty((forests, points.shape[-1]))
-        leaf_ends = np.concatenate([[0], np.cumsum(self.n_leaves.ravel())])
-        tree = np.arange(n_trees)
-        for r in range(forests):
-            lo, hi = leaf_ends[r * n_trees], leaf_ends[(r + 1) * n_trees]
-            cuts = self.thresholds[lo - r * n_trees:hi - (r + 1) * n_trees]
-            # Rank cuts and points among the forest's distinct cuts, then offset
-            # each tree's ranks into its own band: one sorted search then finds,
-            # for every (tree, point), the cuts below the point in earlier trees
-            # and in its own.  Adding the tree index gives a leaf index.
-            levels = _distinct(cuts)
-            band = (len(levels) + 1) * tree
-            keys = np.repeat(band, self.n_leaves[r] - 1) + np.searchsorted(levels, cuts)
-            ranks = np.searchsorted(levels, points if points.ndim == 1 else points[r])
-            leaf = np.searchsorted(keys, band[:, None] + ranks) + tree[:, None]
-            out[r] = self.values[lo:hi][leaf].sum(axis=0) / n_trees
+        k = points.shape[-1]
+        points = np.broadcast_to(points, (forests, k))
+        order = np.argsort(points, axis=1, kind="stable")
+        leaf_ends = np.concatenate([[0], np.cumsum(self.n_leaves.sum(axis=1))])
+        cut_ends = leaf_ends - n_trees * np.arange(forests + 1)
+        out = np.empty((forests, k))
+        group = max(1, _BATCH_ROWS // (n_trees * k))
+        for a in range(0, forests, group):
+            b = min(a + group, forests)
+            # Each tree has a band of k places, one per sorted point; a cut
+            # below no point lands on the next tree's first place.
+            at = np.concatenate([np.searchsorted(
+                points[r].take(order[r]), self.thresholds[cut_ends[r]:cut_ends[r + 1]], "right")
+                for r in range(a, b)])
+            tree = np.arange((b - a) * n_trees)
+            at += np.repeat(tree * k, self.n_leaves[a:b].ravel() - 1)
+            counts = np.bincount(at, minlength=len(tree) * k + 1)
+            leaf = np.cumsum(counts, out=counts)[:-1].reshape(b - a, n_trees, k)
+            leaf += tree.reshape(b - a, n_trees, 1)
+            sums = self.values[leaf_ends[a]:leaf_ends[b]].take(leaf).sum(axis=1)
+            np.put_along_axis(out[a:b], order[a:b], sums / n_trees, axis=1)
         return out
 
 
@@ -136,8 +146,8 @@ def fit_forests(xs: np.ndarray, ys: np.ndarray, params: ForestParams, seeds) -> 
     return ForestFits(thresholds, values, n_leaves.reshape(rows, params.n_trees))
 
 
-# numpy's median and unique import numpy.ma on first use (numpy 2.x), at
-# about 17 ms of CPU per worker process; these two give the same bits.
+# numpy's median imports numpy.ma on first use (numpy 2.x), at about
+# 17 ms of CPU per worker process; this gives the same bits.
 def _median(ys: np.ndarray) -> np.ndarray:
     """Median of each row, as numpy's median: its mean of the middle value or pair."""
     s = np.sort(ys, axis=1)
@@ -146,15 +156,6 @@ def _median(ys: np.ndarray) -> np.ndarray:
     # numpy's sum starts from +0.0, so a middle of -0.0 gives 0.0
     centre = np.add.reduce(middle, axis=1) / middle.shape[1]
     return np.where(np.isnan(s[:, -1]), s[:, -1], centre)  # nan sorts last
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D array without nan, as numpy's unique."""
-    s = np.sort(values)
-    keep = np.empty(len(s), dtype=bool)
-    keep[:1] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
 
 
 def _pack(data: _Block, params: ForestParams, tree_seeds, trees: range):
@@ -173,21 +174,21 @@ def _pack(data: _Block, params: ForestParams, tree_seeds, trees: range):
         draws += (dataset * n)[:, None]
     else:
         draws = np.arange(n) + (dataset * n)[:, None]
-    cols = data.group[draws]
+    cols = data.group.take(draws)  # made flat indices into a (trees, n) table
+    cols += (np.arange(len(trees), dtype=np.int32) * n)[:, None]
     drawn = np.zeros(cols.shape, dtype=bool)
-    at = np.arange(len(trees))[:, None]
-    drawn[at, cols] = True
+    drawn.put(cols, True)
     rank = np.cumsum(drawn, axis=1, dtype=np.int32)
     per_tree = rank[:, -1]
     width = int(per_tree.max()) + 1
-    slot = rank[at, cols]
+    slot = rank.take(cols)
     del drawn, rank, cols
     slot += (np.arange(len(trees), dtype=np.int32) * width - 1)[:, None]
     slot = slot.ravel()
     size = len(trees) * width
     x_at = np.zeros(size)
-    x_at[slot] = data.xs[draws].ravel()
-    y = data.ys[draws]
+    x_at.put(slot, data.xs.take(draws))
+    y = data.ys.take(draws)
     del draws
     y_low = np.full(size, np.inf)
     y_high = np.full(size, -np.inf)
@@ -195,7 +196,7 @@ def _pack(data: _Block, params: ForestParams, tree_seeds, trees: range):
     np.maximum.at(y_high, slot, y.ravel())
     # Targets are centred to limit cancellation.  The median keeps
     # integer-valued targets exact, so mirror-image cuts tie exactly.
-    centre = data.centre[dataset]
+    centre = data.centre.take(dataset)
     y -= centre[:, None]
     slot += 1
     prefix_y = np.bincount(slot, weights=y.ravel(), minlength=size)
@@ -235,36 +236,38 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
     stop = start + per_tree
     depth = 0
     while len(start):
-        open_ = ((prefix_n[stop] - prefix_n[start] >= min_rows)
-                 & ((mixed[stop] > mixed[start]) | (steps[stop - 1] > steps[start])))
+        open_ = ((prefix_n.take(stop) - prefix_n.take(start) >= min_rows)
+                 & ((mixed.take(stop) > mixed.take(start))
+                    | (steps.take(stop - 1) > steps.take(start))))
         if params.max_depth is not None and depth >= params.max_depth:
             open_[:] = False
         # A cut is the first entry k of its right child, and the cuts that
         # leave both children leaf_size rows are the k from low to high.
         a, b = start[open_], stop[open_]
-        low = reach[prefix_n[a] + leaf_size]
-        high = reach[prefix_n[b] - leaf_size + 1] - 1
+        low = reach.take(prefix_n.take(a) + leaf_size)
+        high = reach.take(prefix_n.take(b) - leaf_size + 1) - 1
         n_cuts = high - low + 1  # >= 0, as each node has 2 * leaf_size rows
         has_cut = n_cuts > 0
         open_[open_] = has_cut
         a, b, low, n_cuts = a[has_cut], b[has_cut], low[has_cut], n_cuts[has_cut]
         first = np.cumsum(n_cuts) - n_cuts
-        k = np.repeat((low - first).astype(np.int32), n_cuts)
+        k = (low - first).astype(np.int32).repeat(n_cuts)
         k += np.arange(len(k), dtype=np.int32)
-        # Its score is the total child SSE minus the node's own sum of
-        # squares, which no cut changes.
-        n_left = prefix_n[k]
-        n_right = np.repeat(prefix_n[b], n_cuts) - n_left
-        n_left -= np.repeat(prefix_n[a], n_cuts)
-        s_left = prefix_y[k]
-        s_right = np.repeat(prefix_y[b], n_cuts) - s_left
-        s_left -= np.repeat(prefix_y[a], n_cuts)
-        score = -(s_left * s_left / n_left + s_right * s_right / n_right)
-        del n_left, n_right, s_left, s_right
-        best = np.minimum.reduceat(score, first) if len(score) else score
-        # the first minimum of a node is its lowest threshold
-        ties = np.flatnonzero(score == np.repeat(best, n_cuts))
-        cut = k[ties[np.searchsorted(ties, first)]]
+        # Its score, s_left**2 / n_left + s_right**2 / n_right, is the node's
+        # sum of squares, which no cut changes, minus the total child SSE.
+        n_left = prefix_n.take(k)
+        n_right = prefix_n.take(b).repeat(n_cuts) - n_left
+        n_left -= prefix_n.take(a).repeat(n_cuts)
+        score = prefix_y.take(k)
+        s_right = prefix_y.take(b).repeat(n_cuts) - score
+        score -= prefix_y.take(a).repeat(n_cuts)
+        np.divide(np.multiply(score, score, out=score), n_left, out=score)
+        score += np.divide(np.multiply(s_right, s_right, out=s_right), n_right, out=s_right)
+        del n_left, n_right, s_right
+        best = np.maximum.reduceat(score, first) if len(score) else score
+        # the first maximum of a node is its lowest threshold
+        ties = np.flatnonzero(score == best.repeat(n_cuts))
+        cut = k.take(ties.take(np.searchsorted(ties, first)))
         leaf = ~open_
         leaf_at.append(start[leaf])
         leaf_end.append(stop[leaf])
@@ -274,9 +277,9 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
 
     leaf_at = np.concatenate(leaf_at)
     order = np.argsort(leaf_at)
-    leaf_at, leaf_end = leaf_at[order], np.concatenate(leaf_end)[order]
-    means = centre[leaf_at // width] + (prefix_y[leaf_end] - prefix_y[leaf_at]) / (
-        prefix_n[leaf_end] - prefix_n[leaf_at])
+    leaf_at, leaf_end = leaf_at.take(order), np.concatenate(leaf_end).take(order)
+    means = centre.take(leaf_at // width) + (prefix_y.take(leaf_end) - prefix_y.take(leaf_at)) / (
+        prefix_n.take(leaf_end) - prefix_n.take(leaf_at))
     # A leaf's targets lie between its first entry and the next leaf's;
     # empty slots hold +-inf and change no bound.  A mean can round past
     # its targets' range by an ulp; keep it inside.
@@ -285,7 +288,7 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
     cut_at = np.sort(np.concatenate(cut_at))
     # Halving first keeps a huge sum finite.  A midpoint that rounds onto its
     # right point would route it left, so the cut stays below that point.
-    left, right = x_at[cut_at - 1], x_at[cut_at]
+    left, right = x_at.take(cut_at - 1), x_at.take(cut_at)
     thresholds = np.minimum(left / 2 + right / 2, np.nextafter(right, -np.inf))
     return thresholds, values, np.bincount(leaf_at // width, minlength=len(trees))
 

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from predbands import montecarlo
+from predbands import forest as forest_module, montecarlo
 from predbands.dataset import GenConfig, generate_dataset, generate_rows, make_grid, split_rows
 from predbands.forest import (DecisionTreeRegressor, ForestFits, ForestParams,
                               RandomForestRegressor, fit_forests)
@@ -267,6 +268,63 @@ class TestRandomForest:
                              replications=3)
         with pytest.raises(ReplicationError, match="replication 1: the targets' sums overflow"):
             run_study(config)
+
+
+def mean_of_tree_searches(fits, points):
+    """Each forest's predictions as the mean of its trees, each routing by its own search."""
+    forests, n_trees = fits.n_leaves.shape
+    points = np.broadcast_to(points, (forests, points.shape[-1]))
+    return np.array([
+        np.stack([values[np.searchsorted(cuts, points[r], side="left")]
+                  for cuts, values in forest_trees(fits, r)]).sum(axis=0) / n_trees
+        for r in range(forests)])
+
+
+class TestForestPredict:
+    """ForestFits.predict, which finds leaves by counting cuts below sorted points."""
+
+    @staticmethod
+    def block():
+        xs, ys = generate_rows(GenConfig(seed=40, n_samples=30), stream_seeds(40, range(4)))
+        xs = np.round(xs, 0)  # tied x values
+        params = ForestParams(n_trees=9, min_samples_leaf=2, min_samples_split=4)
+        return fit_forests(xs, ys, params, [5, 6, 7, 8])
+
+    @staticmethod
+    def edge_points(cuts, rng):
+        """Cuts, their neighbours either side and points beyond them, duplicated and shuffled."""
+        chosen = rng.choice(cuts, 6)
+        points = np.concatenate([chosen, np.nextafter(chosen, -np.inf),
+                                 np.nextafter(chosen, np.inf), [100.0, 175.0, 250.0]])
+        return rng.permutation(np.concatenate([points, points[::3]]))
+
+    @pytest.mark.parametrize("batch_rows", [1, 10 ** 9], ids=["one-forest", "every-forest"])
+    def test_equals_each_trees_search_bit_for_bit(self, monkeypatch, batch_rows):
+        fits = self.block()
+        forests = fits.n_leaves.shape[0]
+        assert forests == 4 and len(fits.thresholds) > 4 * 9
+        monkeypatch.setattr(forest_module, "_BATCH_ROWS", batch_rows)
+        rng = np.random.default_rng(41)
+        shared = self.edge_points(fits.thresholds, rng)
+        own = np.array([self.edge_points(np.concatenate([c for c, _ in forest_trees(fits, r)]),
+                                         rng) for r in range(forests)])
+        for points in (shared, own, shared[:1], own[:, :1]):
+            got = fits.predict(points)
+            assert got.shape == (forests, points.shape[-1])
+            assert got.tobytes() == mean_of_tree_searches(fits, points).tobytes()
+
+    def test_memory_of_a_wide_grid(self):
+        xs, ys = generate_rows(GenConfig(seed=42), stream_seeds(42, range(10)))
+        fits = fit_forests(xs, ys, ForestParams(), range(10))
+        grid = make_grid(150.0, 200.0, 1001).points
+        fits.predict(grid)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            fits.predict(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2e6
 
 
 class TestMse:

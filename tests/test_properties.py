@@ -255,12 +255,9 @@ def tied_rows(draw):
 @given(tied_rows())
 @example(np.array([[-0.0, -0.0], [1e300, 1e300], [-3.0, 3.0]]))
 @example(np.array([[2.0, np.nan, 1.0]]))
-def test_forest_median_and_distinct_cuts_equal_numpys(values):
-    # the forest code avoids np.median and np.unique, which import numpy.ma
+def test_forest_median_equals_numpys(values):
+    # the forest code avoids np.median, which imports numpy.ma
     assert forest._median(values).tobytes() == np.median(values, axis=1).tobytes()
-    cuts = values[~np.isnan(values)]  # cuts are midpoints of finite x values
-    for part in (cuts, cuts[:1], cuts[:0]):  # a one-leaf tree has no cuts
-        assert forest._distinct(part).tobytes() == np.unique(part).tobytes()
 
 
 # -0.0, subnormals, and the doubles around 1e16 and 1e-4, where repr
