@@ -915,8 +915,8 @@ def test_every_command_keeps_the_exit_contract(cli_inputs, command, data):
         assert out == "" and written == []
 
 
-def run_fresh(args, **env_changes):
-    """Run ``python *args`` in a fresh interpreter that imports this predbands.
+def fresh_env(**env_changes):
+    """The environment of a fresh interpreter that imports this predbands.
 
     Each keyword sets an environment variable; ``None`` removes it.
     """
@@ -926,8 +926,13 @@ def run_fresh(args, **env_changes):
         env.pop(key, None)
         if value is not None:
             env[key] = value
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    return env
+
+
+def run_fresh(args, **env_changes):
+    """Run ``python *args`` in a fresh interpreter with ``fresh_env(**env_changes)``."""
+    return subprocess.run([sys.executable, *args], env=fresh_env(**env_changes),
+                          capture_output=True, text=True, timeout=120, check=True)
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -1028,7 +1033,7 @@ def test_linear_study_and_report_never_load_the_forest(tmp_path):
 
 
 def test_forest_commands_never_load_numpy_ma_or_a_process_pool(tmp_path):
-    # np.median and np.unique import numpy.ma; the workers are forked directly
+    # np.median imports numpy.ma; the workers are forked directly
     data, prefix = str(tmp_path / "d.csv"), str(tmp_path / "s")
     probe = ("import sys; from predbands.cli import main; "
              "from predbands.montecarlo import StudyConfig, run_study; "
@@ -1050,8 +1055,7 @@ def test_a_closed_stdout_is_no_failure(tmp_path, argv):
     assert main(["study", "--replications", "20", "--emit-matrix",
                  "--output", str(tmp_path / "s")]) == 0
     argv = [arg.format(matrix=tmp_path / "s_matrix.csv") for arg in argv]
-    src = os.path.dirname(os.path.dirname(predbands.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = fresh_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -1090,13 +1094,14 @@ def test_main_leaves_the_callers_collector_alone(capsys, tmp_path, enabled):
 
 def test_the_launcher_freezes_the_imports_and_collects_after(tmp_path):
     # the hook runs at exit, after the command: the collector is back on and
-    # the imports sit in the permanent generation
+    # the imports sit in the permanent generation; stdout is block-buffered,
+    # as by default, so the hook's line needs the launcher's last flush
     probe = ("import atexit, gc, runpy, sys; "
              "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
              "sys.argv = ['predbands', 'study', '--replications', '20', "
              f"'--output', {str(tmp_path / 's')!r}]; "
              "runpy.run_module('predbands.cli', run_name='__main__')")
-    assert run_fresh(["-c", probe]).stdout.splitlines()[-1] == "True True"
+    assert run_fresh(["-c", probe], PYTHONUNBUFFERED=None).stdout.splitlines()[-1] == "True True"
 
 
 @pytest.mark.parametrize("launcher", [["-c", "from predbands.__main__ import run; run()"],
@@ -1115,3 +1120,17 @@ def test_every_entry_point_keeps_the_exit_codes_and_bytes(tmp_path, launcher):
     outputs = {label: [p.read_bytes() for p in sorted(tmp_path.glob(f"{label}_*"))]
                for label in ("run", "cli")}
     assert len(outputs["run"]) == 2 and outputs["run"] == outputs["cli"]
+    # the launcher leaves by os._exit: a pipe still gets every byte stdout
+    # buffered, and a reader that leaves early (`| head -1`) is no failure
+    generate = [sys.executable, *launcher, "generate", "--samples", "20000", "--output"]
+    run_fresh([*generate[1:], str(tmp_path / "d.csv")])
+    env = fresh_env(PYTHONUNBUFFERED=None)
+    piped = subprocess.run([*generate, "-"], env=env, capture_output=True, timeout=120)
+    assert (piped.returncode, piped.stderr) == (0, b"20000 rows (seed 0)\n")
+    assert piped.stdout == (tmp_path / "d.csv").read_bytes()
+    with subprocess.Popen([*generate, "-"], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as head:
+        first = head.stdout.readline()
+        head.stdout.close()
+        assert (first, head.wait(timeout=120)) == (b"x,y\n", 0)
+        assert head.stderr.read() == b""
