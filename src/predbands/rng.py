@@ -30,9 +30,12 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    scratch = np.empty_like(z)  # z is mixed in place
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -87,9 +90,12 @@ class Streams:
 
     def _uniforms_at(self, drawn: np.ndarray, n: int) -> np.ndarray:
         """Draws ``drawn+1 .. drawn+n`` of every stream, as uniforms."""
-        counters = drawn + np.arange(1, n + 1, dtype=np.uint64)
-        words = _mix64_vec(self._seeds + counters * np.uint64(_GOLDEN))
-        return (words >> np.uint64(11)) * 2.0 ** -53
+        words = drawn + np.arange(1, n + 1, dtype=np.uint64)  # then mixed in place
+        words *= np.uint64(_GOLDEN)
+        words += self._seeds
+        uniforms = np.right_shift(_mix64_vec(words), np.uint64(11), out=words).astype(float)
+        uniforms *= 2.0 ** -53  # in place: words times a float would add a cast buffer
+        return uniforms
 
     def uniforms(self, n: int) -> np.ndarray:
         """(rows, n) doubles, i.i.d. uniform on [0, 1)."""
@@ -114,10 +120,13 @@ class Streams:
         while (missing := pairs - np.count_nonzero((s > 0.0) & (s < 1.0), axis=1).min()) > 0:
             block = self._uniforms_at(self._drawn + np.uint64(2 * u.shape[1]),
                                       2 * _round_pairs(missing))
-            bu = 2.0 * block[:, 0::2] - 1.0
-            bv = 2.0 * block[:, 1::2] - 1.0
-            u, v = np.hstack([u, bu]), np.hstack([v, bv])
-            s = np.hstack([s, bu * bu + bv * bv])
+            block *= 2.0
+            block -= 1.0
+            bu, bv = block[:, 0::2], block[:, 1::2]  # views: the block is theirs alone
+            bs = bu * bu + bv * bv
+            u, v, s = (np.hstack(pair) if u.shape[1] else pair[1]  # a first round is not copied
+                       for pair in ((u, bu), (v, bv), (s, bs)))
+            del block, bu, bv, bs  # so the pairs kept below free them
         keep = (s > 0.0) & (s < 1.0)
         keep &= np.cumsum(keep, axis=1) <= pairs
         if pairs:

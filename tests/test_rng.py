@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,31 @@ def test_polar_round_size_moves_nothing(monkeypatch, n):
     assert len(rounds) > 2
     for got, want in zip(wide, narrow):
         assert np.array_equal(got, want)
+
+
+def test_normals_hold_few_temporaries():
+    # a 64 x 100 block is 51 KB; each round's mixing and split once made
+    # several (rows, draws) arrays more, and the block outlived its split
+    seeds = stream_seeds(3, range(64))
+    Streams(seeds).normals(100)  # caches outside the trace
+    tracemalloc.start()
+    try:
+        Streams(seeds).normals(100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 260_000, peak
+
+
+def test_mixing_leaves_the_callers_arrays_alone():
+    streams = Streams(stream_seeds(4, range(3)))
+    drawn = streams._drawn.copy()
+    first = streams._uniforms_at(drawn, 9)
+    assert np.array_equal(drawn, streams._drawn)
+    assert np.array_equal(first, streams.uniforms(9))
+    masters = np.array([3, 2**63 + 1], dtype=np.uint64)  # _seed_array keeps a view of these
+    stream_seeds(masters, range(4))
+    assert masters.tolist() == [3, 2**63 + 1]
 
 
 def test_normals_moments():
