@@ -42,7 +42,7 @@ from .rng import Streams, stream_seeds
 # Rows drawn by the trees grown in one pass, whichever datasets they
 # belong to.  Growing takes about 80 bytes per drawn row, so a pass stays
 # near 1.6 MB however large the block; passes never change a result, as
-# each tree's arithmetic is its own.
+# each tree's arithmetic is its own, and a leaf value keeps its mean's sign.
 _BATCH_ROWS = 20_000
 
 
@@ -282,15 +282,17 @@ def _grow(data: _Block, params: ForestParams, tree_seeds, trees: range):
         prefix_n.take(leaf_end) - prefix_n.take(leaf_at))
     # A leaf's targets lie between its first entry and the next leaf's;
     # empty slots hold +-inf and change no bound.  A mean can round past
-    # its targets' range by an ulp; keep it inside.
-    values = np.clip(means, np.minimum.reduceat(y_low, leaf_at),
-                     np.maximum.reduceat(y_high, leaf_at))
+    # its targets' range by an ulp; put it back, and keep the mean's own sign
+    # where it equals a bound of +-0.0, whose sign the pass layout sets.
+    low, high = np.minimum.reduceat(y_low, leaf_at), np.maximum.reduceat(y_high, leaf_at)
+    np.copyto(means, low, where=means < low)
+    np.copyto(means, high, where=means > high)
     cut_at = np.sort(np.concatenate(cut_at))
     # Halving first keeps a huge sum finite.  A midpoint that rounds onto its
     # right point would route it left, so the cut stays below that point.
     left, right = x_at.take(cut_at - 1), x_at.take(cut_at)
     thresholds = np.minimum(left / 2 + right / 2, np.nextafter(right, -np.inf))
-    return thresholds, values, np.bincount(leaf_at // width, minlength=len(trees))
+    return thresholds, means, np.bincount(leaf_at // width, minlength=len(trees))
 
 
 @dataclass(eq=False)

@@ -270,6 +270,22 @@ class TestRandomForest:
             run_study(config)
 
 
+    def test_passes_move_no_zero_sign(self, monkeypatch):
+        # every target is +-0.0; the leaf bounds' zero signs depend on how the
+        # trees are split into passes, and each leaf value keeps its mean's sign
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(150.0, 200.0, (1, 23))
+        ys = np.round(rng.normal(size=(1, 23)) * 1e-3, 0)
+        assert 0 < np.signbit(ys).sum() < 23 and not ys.any()
+        params = ForestParams(n_trees=37, max_depth=1)
+        fits = []
+        for batch_rows in (37, 20_000):  # one tree per pass, then all in one
+            monkeypatch.setattr(forest_module, "_BATCH_ROWS", batch_rows)
+            fits.append(fit_forests(xs, ys, params, [9]))
+        for got, want in zip(*fits):
+            assert got.tobytes() == want.tobytes()
+
+
 def mean_of_tree_searches(fits, points):
     """Each forest's predictions as the mean of its trees, each routing by its own search."""
     forests, n_trees = fits.n_leaves.shape
