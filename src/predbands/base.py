@@ -15,6 +15,12 @@ import numpy as np
 CHUNK_VALUES = 2 ** 13
 
 
+def chunk_slices(n: int, width: int) -> list[slice]:
+    """Slices of range(n), each of about CHUNK_VALUES // width indices."""
+    step = max(1, CHUNK_VALUES // max(1, width))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def check_fitted(model, attr: str):
     """``model``'s attribute ``attr``, which only ``fit`` sets; ValueError before that."""
     try:

@@ -1,9 +1,9 @@
 """Replicated generate / fit / predict studies over a fixed grid.
 
 Each replication r draws a fresh training set, fits the chosen model,
-and predicts over the shared grid; the rows are stacked into an R x G
-prediction matrix.  All randomness is scheduled from the master seed
-(``config.gen.seed``) so results are independent of execution order:
+and predicts over the shared grid; the rows make an R x G prediction
+matrix.  All randomness is scheduled from the master seed (``config.gen.seed``)
+so results are independent of execution order:
 
 * data seed  = stream_seeds(master, range(R))[r]
 * model seed = stream_seeds(master, range(R, 2 * R))[r]
@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import CHUNK_VALUES, ForestParams
-from .dataset import GenConfig, Grid, generate_rows, make_grid, split_rows
+from .base import ForestParams, chunk_slices
+from .dataset import GenConfig, Grid, _frozen_array, generate_rows, make_grid, split_rows
 from .linear import SingularFitError, fit_lines
 from .rng import stream_seeds
 
@@ -69,42 +69,73 @@ class StudyConfig:
 def check_rows(rows: np.ndarray, width: int) -> None:
     """ValueError unless ``rows`` is a 2-D float array of ``width`` columns,
     at least one row and only finite values.
-
-    Finiteness is tested over blocks of rows, so no R x G mask is made.
     """
     if rows.ndim != 2 or rows.shape[1] != width or not len(rows):
         raise ValueError(f"rows must be 2-D with {width} columns "
                          f"and at least one row, got {rows.shape}")
-    step = max(1, CHUNK_VALUES // width)
-    for start in range(0, len(rows), step):
-        if not np.isfinite(rows[start:start + step]).all():
+    for at in chunk_slices(len(rows), width):  # so no R x G mask is made
+        if not np.isfinite(rows[at]).all():
             raise ValueError("prediction matrix contains NaN or Inf")
 
 
-@dataclass(frozen=True)
 class PredictionMatrix:
-    """R x G predictions: one row per replication, one column per grid point."""
+    """R x G predictions: one row per replication, one column per grid point.
 
-    grid: Grid
-    rows: np.ndarray
+    It holds its ``rows``, read-only, or read-only copies of R fitted ``lines``
+    (slopes, intercepts) alone, whose row r is ``intercepts[r] + slopes[r] * x``
+    as ``LineFits.predict`` computes it: a block at a time whenever it is read,
+    and all R x G values at each read of ``rows``.
+    """
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        check_rows(rows, len(self.grid.points))
+    def __init__(self, grid: Grid, rows=None, lines=None):
+        self.grid, self._rows, self._lines = grid, None, None
+        if lines is not None:
+            slopes, intercepts = self._lines = tuple(map(_frozen_array, lines))
+            if slopes.ndim != 1 or slopes.shape != intercepts.shape or not len(slopes):
+                raise ValueError(f"lines must be two vectors of one nonzero length, "
+                                 f"got shapes {slopes.shape} and {intercepts.shape}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                for block in self.row_blocks():
+                    check_rows(block, len(grid))
+            return
+        rows = np.asarray(rows, dtype=float)
+        check_rows(rows, len(grid.points))
         # The rows are C-ordered and nothing else can write them: a read-only
         # C-ordered array that owns its data is held as it is, any other copied.
         if rows.flags.writeable or not (rows.flags.owndata and rows.flags.c_contiguous):
             rows = rows.copy()
             rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        self._rows = rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The R x G predictions, read-only."""
+        rows = self._rows if self._lines is None else self._line_rows(slice(None))
+        rows.flags.writeable = False
+        return rows
 
     @property
     def n_replications(self) -> int:
-        return self.rows.shape[0]
+        return len(self._rows if self._lines is None else self._lines[0])
 
-    def table(self) -> tuple[list[str], np.ndarray]:
-        """Header of grid values and the prediction rows."""
-        return [repr(x) for x in self.grid.points.tolist()], self.rows
+    def _line_rows(self, at: slice) -> np.ndarray:
+        slopes, intercepts = self._lines
+        return intercepts[at, None] + slopes[at, None] * self.grid.points
+
+    def row_blocks(self):
+        """The rows in order, in blocks of about CHUNK_VALUES values."""
+        for at in chunk_slices(self.n_replications, len(self.grid)):
+            yield self._rows[at] if self._lines is None else self._line_rows(at)
+
+    def column_blocks(self):
+        """(columns, block) pairs: block is a new array whose row j is column columns[j]."""
+        for at in chunk_slices(len(self.grid), self.n_replications):
+            yield at, (self._rows[:, at].T.copy() if self._lines is None else
+                       self._lines[1] + self._lines[0] * self.grid.points[at, None])
+
+    def table(self):
+        """Header of grid values and the prediction rows, as row blocks."""
+        return [repr(x) for x in self.grid.points.tolist()], self.row_blocks()
 
 
 @dataclass(frozen=True)
@@ -159,7 +190,7 @@ BLOCK_VALUES = 2 ** 13
 
 
 def _replicate(config: StudyConfig, reps: range):
-    """Rows ``reps`` of the study: (predictions, slopes, intercepts, holdout mses)."""
+    """Rows ``reps`` of the study: (forest predictions, slopes, intercepts, holdout mses)."""
     xs, ys = generate_rows(config.gen, stream_seeds(config.gen.seed, reps))
     try:
         return _fit_rows(config, reps, xs, ys)
@@ -177,11 +208,11 @@ def _replicate(config: StudyConfig, reps: range):
 def _fit_rows(config: StudyConfig, reps: range, xs: np.ndarray, ys: np.ndarray):
     """Split, fit and predict the drawn rows of ``reps``; returns what ``_replicate`` does.
 
-    The whole block is computed in (len(reps), ...) arrays.  Forest slopes
-    and intercepts are nan, and holdout mses None without a test split.
+    The whole block is computed in (len(reps), ...) arrays.  Linear predictions
+    are None, forest slopes and intercepts nan, and holdout mses None without a split.
     """
     master, big_r = config.gen.seed, config.replications
-    test_xs = test_ys = holdout = None
+    test_xs = test_ys = holdout = rows = None
     if config.test_fraction is not None:
         split_seeds = stream_seeds(master, range(reps.start + 2 * big_r, reps.stop + 2 * big_r))
         (xs, ys), (test_xs, test_ys) = split_rows(xs, ys, config.test_fraction, split_seeds)
@@ -193,7 +224,7 @@ def _fit_rows(config: StudyConfig, reps: range, xs: np.ndarray, ys: np.ndarray):
         model_seeds = stream_seeds(master, range(reps.start + big_r, reps.stop + big_r))
         fits = fit_forests(xs, ys, config.forest, model_seeds)
         slopes = intercepts = np.full(len(reps), np.nan)
-    rows = fits.predict(config.grid.points)
+        rows = fits.predict(config.grid.points)
     if test_xs is not None:
         diff = test_ys - fits.predict(test_xs)
         holdout = np.mean(diff * diff, axis=-1)
@@ -220,19 +251,17 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
     if n_jobs > 1:
         size = min(size, max(1, big_r // (n_jobs * 8)))
     blocks = [range(a, min(a + size, big_r)) for a in range(0, big_r, size)]
-    # Blocks are copied into place as they arrive and then dropped: no
-    # list of blocks and no concatenated copy of the matrix is held, and
+    # Blocks are copied into place as they arrive and then dropped.  A forest's
     # PredictionMatrix keeps the filled rows, read-only, without a copy.
-    rows = np.empty((big_r, len(config.grid)))
+    rows = np.empty((big_r, len(config.grid))) if config.model == "forest" else None
     slopes, intercepts = np.empty(big_r), np.empty(big_r)
     holdout = None if config.test_fraction is None else np.empty(big_r)
 
     def collect(parts):
         for reps, part in zip(blocks, parts):
-            at = slice(reps.start, reps.stop)
-            rows[at], slopes[at], intercepts[at] = part[:3]
-            if holdout is not None:
-                holdout[at] = part[3]
+            for column, values in zip((rows, slopes, intercepts, holdout), part):
+                if column is not None:
+                    column[reps.start:reps.stop] = values
 
     work = partial(_replicate, config)
     # No block warns of overflow: the fit kernels and the holdout check reject
@@ -243,10 +272,11 @@ def run_study(config: StudyConfig, n_jobs: int = 1) -> StudyResult:
         else:
             with closing(_forked(work, blocks, n_jobs)) as parts:
                 collect(parts)
-    rows.flags.writeable = False
+    if rows is not None:
+        rows.flags.writeable = False
+    lines = (slopes, intercepts) if rows is None else None
     coeffs = CoefficientSamples(slopes=slopes, intercepts=intercepts, test_mse=holdout)
-    return StudyResult(matrix=PredictionMatrix(grid=config.grid, rows=rows),
-                       coefficients=coeffs)
+    return StudyResult(matrix=PredictionMatrix(config.grid, rows, lines), coefficients=coeffs)
 
 
 def _forked(work, blocks: list, n_jobs: int):

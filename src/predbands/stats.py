@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base import CHUNK_VALUES, as_float_vector
+from .base import as_float_vector
 
 if TYPE_CHECKING:
     from .dataset import Grid
@@ -77,37 +77,37 @@ class BandCurve:
 
 def band_curve(matrix: "PredictionMatrix") -> BandCurve:
     """Column-wise quartile band of a prediction matrix (needs >= 2 rows)."""
-    rows = matrix.rows
-    n, g = rows.shape
+    n, g = matrix.n_replications, len(matrix.grid)
     if n < 2:
         raise ValueError(f"need at least 2 replications, got {n}")
-    # np.std and np.sort would each make a temporary the size of the matrix,
-    # so both work on pieces of CHUNK_VALUES values.  sd is np.std's arithmetic
-    # over chunks of rows.  Row 0 of `squares` carries the sum of the rows
-    # before the chunk, and numpy adds 2 or more columns up row by row, as
-    # np.std does on the whole matrix, so each column's sum keeps its bits.
-    chunk = max(1, CHUNK_VALUES // g)
-    squares = np.zeros((chunk + 1, g))
+    # np.mean, np.std and np.sort would each make a temporary the size of the
+    # matrix, so all three work on the matrix's blocks of rows or columns.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.mean(rows, axis=0)
-        for start in range(0, n, chunk):
-            block = rows[start:start + chunk]
-            part = squares[:len(block) + 1]
-            deviations = np.subtract(block, mean, out=part[1:])
-            np.multiply(deviations, deviations, out=deviations)
-            squares[0] = np.add.reduce(part, axis=0)
-        sd = np.sqrt(squares[0] / (n - 1))
+        mean = _sum_down(matrix.row_blocks()) / n
+        sd = np.sqrt(_sum_down(matrix.row_blocks(), mean) / (n - 1))
     if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
         raise ValueError("the predictions' mean or sd overflows a float")
-    # a block of columns is copied with each column contiguous, then sorted
-    width = max(1, CHUNK_VALUES // n)
     fences = np.empty((6, g))
-    for start in range(0, g, width):
-        cols = slice(start, start + width)
-        lanes = rows[:, cols].T.copy()
+    for cols, lanes in matrix.column_blocks():
         lanes.sort(axis=1)
         fences[:, cols] = _fences(lanes.T)
     return BandCurve(matrix.grid, *fences, mean=mean, sd=sd)
+
+
+def _sum_down(blocks, centre: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of row blocks, or with ``centre`` of their squared deviations
+    from it, in numpy's bits for the whole matrix.  numpy adds 2 or more columns
+    up row by row, so each block is summed below the sum of the rows before it,
+    and the first alone, as numpy's sum starts at its first row (so a column of
+    -0.0 sums to -0.0)."""
+    total = None
+    for block in blocks:
+        if centre is not None:
+            block = np.square(block - centre)
+        if total is not None:
+            block = np.concatenate([total[None], block])
+        total = np.add.reduce(block, axis=0)
+    return total
 
 
 def distribution_report(values, bins: int | None = None) -> dict:

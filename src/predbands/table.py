@@ -27,46 +27,49 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .base import CHUNK_VALUES
+from .base import chunk_slices
 
 # Below this many values, repr and float cost less than importing orjson
 # (about 3.7 ms of CPU, as it loads uuid and zoneinfo).
 _ORJSON_MIN_VALUES = 10_000
 
 
-def write_table(out, header, rows: np.ndarray, fmt: str = "csv") -> None:
-    """Write ``header`` names and the rows of a 2-D float array to a text handle.
+def write_table(out, header, rows, fmt: str = "csv") -> None:
+    """Write ``header`` names and rows of doubles to a text handle.
 
-    ``fmt`` is ``"csv"`` or ``"json"``.  Rows are formatted one at a time,
-    so a large table is never held as Python floats all at once.
+    ``rows`` is a 2-D float array or an iterable of 2-D blocks of rows, each
+    written as it comes, and ``fmt`` is ``"csv"`` or ``"json"``.  Rows are
+    formatted one at a time, so a table is never held as Python floats.
     """
     if fmt == "json":
         import json
+        rows = rows if isinstance(rows, np.ndarray) else np.concatenate(list(rows))
         json.dump({name: [None if v != v else v for v in rows[:, j].tolist()]
                    for j, name in enumerate(header)}, out, indent=2)
         out.write("\n")
         return
+    if isinstance(rows, np.ndarray):
+        rows = [rows[at] for at in chunk_slices(len(rows), len(header))]
     out.write(",".join(header) + "\n")
-    plain = repeat(False)
-    if rows.size >= _ORJSON_MIN_VALUES:
-        import orjson
-        rows = np.ascontiguousarray(rows)  # orjson serializes C-contiguous arrays only
-        plain = _plain_rows(rows)
-    for row, fast in zip(rows, plain):
-        if fast:
-            line = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        else:
-            line = ",".join(map(repr, row.tolist()))
-        out.write(line + "\n")
-
-
-def _plain_rows(rows: np.ndarray):
-    """Whether each row is plain, its mask made over blocks of about CHUNK_VALUES values."""
-    step = max(1, CHUNK_VALUES // rows.shape[1])
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        yield from ((block == 0) | (block >= 1e-4) & (block < 1e16)
-                    | (block <= -1e-4) & (block > -1e16)).all(axis=1).tolist()
+    rows, head, size = iter(rows), [], 0
+    for block in rows:  # read ahead until the table is known to reach _ORJSON_MIN_VALUES
+        head.append(block)
+        size += block.size
+        if size >= _ORJSON_MIN_VALUES:
+            import orjson
+            break
+    for block in chain(head, rows):
+        plain = repeat(False)
+        if size >= _ORJSON_MIN_VALUES:
+            block = np.ascontiguousarray(block)  # orjson serializes C-contiguous arrays only
+            plain = ((block == 0) | (block >= 1e-4) & (block < 1e16)
+                     | (block <= -1e-4) & (block > -1e16)).all(axis=1).tolist()
+        for row, fast in zip(block, plain):
+            if fast:
+                line = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            else:
+                line = ",".join(map(repr, row.tolist()))
+            out.write(line + "\n")
 
 
 def read_table(source) -> tuple[list[str], np.ndarray]:

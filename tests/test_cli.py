@@ -305,6 +305,19 @@ class TestStudy:
         capsys.readouterr()
         assert peak <= 1.2 * 2000 * 501 * 8, peak / (2000 * 501 * 8)
 
+    def test_emit_matrix_of_a_linear_study_holds_no_matrix(self, capsys, tmp_path):
+        # the file is written from row blocks computed from the lines as they come
+        flags = ["study", "--grid-points", "501", "--emit-matrix"]
+        assert main([*flags, "--replications", "20", "--output", str(tmp_path / "w")]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*flags, "--replications", "2000", "--output", str(tmp_path / "p")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 0.25 * 2000 * 501 * 8, peak / (2000 * 501 * 8)
+
     def test_identical_flags_are_byte_identical(self, capsys, tmp_path):
         args = ["study", "--replications", "6", "--grid-points", "4", "--emit-matrix"]
         run_cli(capsys, *args, "--output", str(tmp_path / "one"))

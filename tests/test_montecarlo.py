@@ -2,6 +2,7 @@ import io
 import os
 import pickle
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 from functools import partial
 
@@ -11,6 +12,7 @@ import pytest
 from predbands import montecarlo
 from predbands.dataset import GenConfig, make_grid
 from predbands.forest import ForestParams
+from predbands.linear import LineFits
 from predbands.montecarlo import (
     CoefficientSamples,
     PredictionMatrix,
@@ -93,6 +95,44 @@ class TestRunStudy:
         finally:
             tracemalloc.stop()
         assert peak <= 1.10 * matrix.rows.nbytes, peak / matrix.rows.nbytes
+
+    def test_linear_study_holds_no_matrix(self):
+        # its finiteness check and its bands read row and column blocks computed
+        # from the lines; only the study's own blocks and the lines are held
+        config = small_config(replications=10_000, grid=make_grid(150.0, 200.0, 101))
+        matrix_bytes = 10_000 * 101 * 8
+        band_curve(run_study(small_config()).matrix)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run_study(config)
+            study_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            band_curve(result.matrix)
+            band_peak = tracemalloc.get_traced_memory()[1] - start  # the result held, too
+        finally:
+            tracemalloc.stop()
+        assert study_peak <= 0.15 * matrix_bytes, study_peak / matrix_bytes
+        assert band_peak <= 0.10 * matrix_bytes, band_peak / matrix_bytes
+
+    def test_forest_study_holds_its_matrix_once(self):
+        # forest rows are predicted, not derived from lines, so the study keeps them
+        forest = dict(model="forest", forest=ForestParams(n_trees=2))
+        config = small_config(replications=2000, grid=make_grid(150.0, 200.0, 501), **forest)
+        band_curve(run_study(small_config(**forest)).matrix)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            matrix = run_study(config).matrix
+            study_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            band_curve(matrix)
+            band_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert held >= matrix.rows.nbytes
+        assert study_peak < 1.25 * matrix.rows.nbytes, study_peak / matrix.rows.nbytes
+        assert band_peak < 0.25 * matrix.rows.nbytes, band_peak / matrix.rows.nbytes
 
     def test_zero_noise_linear_recovers_the_line(self):
         config = small_config(gen=GenConfig(noise_sigma=0.0, seed=5))
@@ -247,7 +287,10 @@ class TestForkedWorkers:
         config = small_config()
         parts = montecarlo._forked(partial(montecarlo._replicate, config),
                                    [range(0, 4), range(4, 8)], 2)
-        assert np.array_equal(next(parts)[0], run_study(config).matrix.rows[:4])
+        rows, slopes, intercepts, _ = next(parts)
+        assert rows is None  # a linear block sends its lines
+        rows = intercepts[:, None] + slopes[:, None] * config.grid.points
+        assert np.array_equal(rows, run_study(config).matrix.rows[:4])
         parts.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -258,7 +301,10 @@ class TestSingleSampleCurve:
 
     @staticmethod
     def curve(config, r):
-        return montecarlo._replicate(config, range(r, r + 1))[0][0]
+        rows, slopes, intercepts, _ = montecarlo._replicate(config, range(r, r + 1))
+        if rows is None:  # a linear block gives its lines, which give its rows
+            rows = intercepts[:, None] + slopes[:, None] * config.grid.points
+        return rows[0]
 
     def test_reproduces_study_rows_exactly(self):
         config = small_config(replications=5)
@@ -306,6 +352,37 @@ class TestPredictionMatrix:
         fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
         fortran.flags.writeable = False
         assert PredictionMatrix(grid=grid, rows=fortran).rows.flags.c_contiguous
+
+    def test_lines_give_the_rows_their_fits_predict(self):
+        grid = make_grid(150.0, 200.0, 7)
+        slopes, intercepts = np.array([1.0, -0.0, 2.5]), np.array([-100.0, -0.0, 3.0])
+        want = LineFits(slopes, intercepts, *np.zeros((3, 3))).predict(grid.points)
+        matrix = PredictionMatrix(grid, lines=(slopes, intercepts))
+        slopes[0] = 9.0  # the matrix holds copies of the lines
+        assert matrix.n_replications == 3
+        assert matrix.rows.tobytes() == want.tobytes()
+        assert not matrix.rows.flags.writeable
+        assert np.concatenate(list(matrix.row_blocks())).tobytes() == want.tobytes()
+        for at, block in matrix.column_blocks():
+            assert block.tobytes() == want[:, at].T.copy().tobytes()
+        names, blocks = matrix.table()
+        assert np.concatenate(list(blocks)).tobytes() == want.tobytes()
+        for fmt in ("csv", "json"):  # the writer takes the blocks as the array
+            by_blocks, by_array = io.StringIO(), io.StringIO()
+            write_table(by_blocks, *matrix.table(), fmt)
+            write_table(by_array, names, want, fmt)
+            assert by_blocks.getvalue() == by_array.getvalue()
+
+    def test_validates_lines_and_their_predictions(self):
+        grid = make_grid(0.0, 1e300, 3)
+        for lines in ((np.zeros(2), np.zeros(3)), (np.zeros(0), np.zeros(0)),
+                      (np.zeros((2, 2)), np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="lines must be"):
+                PredictionMatrix(grid, lines=lines)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and the overflow warns of nothing
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                PredictionMatrix(grid, lines=(np.array([0.0, 1e10]), np.zeros(2)))
 
     def test_column_at_exact_and_missing(self):
         grid = make_grid(150.0, 200.0, 6)

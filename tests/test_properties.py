@@ -229,11 +229,19 @@ def test_block_rows_equal_batches_of_one(case):
         model=case["model"], forest=ForestParams(n_trees=2, min_samples_leaf=1),
         test_fraction=case["n_test"] / case["n"] if case["n_test"] else None)
     reps = range(*case["reps"])
+    def with_rows(part):
+        """A block's results, with a linear block's rows derived from its lines."""
+        rows, slopes, intercepts, holdout = part
+        assert (rows is None) == (config.model == "linear")
+        if rows is None:
+            rows = intercepts[:, None] + slopes[:, None] * config.grid.points
+        return rows, slopes, intercepts, holdout
+
     with mock.patch.object(forest, "_BATCH_ROWS", case["rows_cap"] or forest._BATCH_ROWS):
-        block = _replicate(config, reps)
+        block = with_rows(_replicate(config, reps))
     assert len(block[0]) == len(reps)
     for i, r in enumerate(reps):
-        one = _replicate(config, range(r, r + 1))
+        one = with_rows(_replicate(config, range(r, r + 1)))
         for got, want in zip(block, one):
             assert (got is None) == (want is None)
             if got is not None:

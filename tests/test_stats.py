@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from predbands.dataset import Grid, make_grid
-from predbands.linear import LinearRegression
+from predbands.linear import LinearRegression, LineFits
 from predbands.montecarlo import PredictionMatrix
 from predbands.rng import Rng
 from predbands.stats import _column_quantile, _fences, band_curve, distribution_report
@@ -141,13 +141,38 @@ class TestBandCurve:
     @pytest.mark.parametrize("n", [2, 3, 64, 1000, 10000])
     @pytest.mark.parametrize("g", [2, 3, 5, 17, 101, 129, 1001])
     def test_pieces_match_the_whole_matrix_bit_for_bit(self, n, g):
-        rows = 50.0 + 10.0 * np.random.default_rng(n * g).standard_normal((n, g))
-        curve = band_curve(PredictionMatrix(grid=make_grid(0.0, 1.0, g), rows=rows))
+        grid, rng = make_grid(0.0, 1.0, g), np.random.default_rng(n * g)
+        rows = 50.0 + 10.0 * rng.standard_normal((n, g))
+        self.assert_pieces_match(PredictionMatrix(grid=grid, rows=rows), rows)
+        # a matrix of lines, the first of slope -0.0 and intercept -0.0
+        slopes, intercepts = rng.standard_normal(n), 50.0 + 10.0 * rng.standard_normal(n)
+        slopes[0] = intercepts[0] = -0.0
+        rows = LineFits(slopes, intercepts, *np.zeros((3, n))).predict(grid.points)
+        self.assert_pieces_match(PredictionMatrix(grid, lines=(slopes, intercepts)), rows)
+
+    @staticmethod
+    def assert_pieces_match(matrix, rows):
+        """band_curve of the matrix, whose rows are ``rows``, is numpy's over the whole."""
+        assert np.array_equal(matrix.rows.view(np.uint64), rows.view(np.uint64))
+        curve = band_curve(matrix)
         want = (np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1),
                 *_fences(np.sort(rows, axis=0)))
         names = ("mean", "sd", "q1", "median", "q3", "iqr", "low", "high")
         for name, column in zip(names, want):
-            assert np.array_equal(getattr(curve, name), column), name
+            assert getattr(curve, name).tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("source", ["rows", "lines"])
+    def test_a_column_of_negative_zeros_sums_as_numpys(self, source):
+        # the sign of a sum of -0.0 is where numpy's sum starts, which the
+        # first block's sum, carrying no earlier one, keeps
+        zeros, grid = np.full(10_000, -0.0), make_grid(0.0, 1.0, 2)  # 3 blocks of rows
+        if source == "rows":
+            matrix = PredictionMatrix(grid=grid, rows=np.column_stack([zeros, zeros]))
+        else:
+            matrix = PredictionMatrix(grid, lines=(zeros, zeros))
+        curve = band_curve(matrix)
+        assert curve.mean.tobytes() == np.mean(matrix.rows, axis=0).tobytes()
+        assert curve.sd.tobytes() == np.std(matrix.rows, axis=0, ddof=1).tobytes()
 
     def test_requires_two_rows(self):
         grid = make_grid(0.0, 1.0, 2)
